@@ -7,6 +7,8 @@
 
 #include "cpu/processor.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "isa/exec_fn.hh"
 #include "obs/trace.hh"
@@ -628,11 +630,12 @@ Processor::doDispatch()
                 }
             }
             if (oracle) {
-                const auto *set = oracle->producersOf(inst.traceIdx);
-                if (set) {
-                    inst.oracleProducers = set->stores;
-                    inst.oracleProducerCount = set->count;
-                }
+                OracleDeps::Producers set =
+                    oracle->producersOf(inst.traceIdx);
+                std::copy(set.begin(), set.end(),
+                          inst.oracleProducers.begin());
+                inst.oracleProducerCount =
+                    static_cast<uint8_t>(set.size());
             }
         }
 

@@ -510,7 +510,7 @@ Processor::storeBecameExecuted(DynInst &inst, SbEntry &entry)
     if (policy != SpecPolicy::Oracle) {
         // The oracle skips detection: gateOracle holds every load
         // until ALL of its byte-producing stores have executed (not
-        // just the youngest — see OracleDeps::ProducerSet), so a
+        // just the youngest — see OracleDeps::Producers), so a
         // correct-path load can never forward a stale byte. Wrong-path
         // loads can, but a control squash discards them before they
         // commit, and flagging them here would charge the idealized

@@ -19,9 +19,8 @@
 #ifndef CWSIM_MDP_ORACLE_HH
 #define CWSIM_MDP_ORACLE_HH
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
@@ -31,7 +30,11 @@
 namespace cwsim
 {
 
-/** Per-dynamic-load producing-store information. */
+/**
+ * Per-dynamic-load producing-store information, stored flat: the
+ * indices of loads that have a producer in trace order, and one
+ * contiguous run of producer indices per load.
+ */
 class OracleDeps
 {
   public:
@@ -40,12 +43,18 @@ class OracleDeps
      * oldest first. A load reads at most 8 bytes, so at most 8 stores.
      * Partial overlaps make the full set necessary: waking the load
      * after only the youngest producer would forward stale bytes from
-     * the ranges the other producers cover.
+     * the ranges the other producers cover. Empty if the load has no
+     * producer. (A span; this header also builds as C++17.)
      */
-    struct ProducerSet
+    struct Producers
     {
-        std::array<TraceIndex, 8> stores{};
-        uint8_t count = 0;
+        const TraceIndex *first = nullptr;
+        const TraceIndex *last = nullptr;
+
+        const TraceIndex *begin() const { return first; }
+        const TraceIndex *end() const { return last; }
+        size_t size() const { return static_cast<size_t>(last - first); }
+        bool empty() const { return first == last; }
     };
 
     /**
@@ -56,30 +65,32 @@ class OracleDeps
     TraceIndex
     producerOf(TraceIndex load_idx) const
     {
-        auto it = producers.find(load_idx);
-        return it == producers.end()
-                   ? invalid_trace_index
-                   : it->second.stores[it->second.count - 1];
+        Producers set = producersOf(load_idx);
+        return set.empty() ? invalid_trace_index : *(set.end() - 1);
     }
 
-    /** All distinct byte producers, or nullptr if the load has none. */
-    const ProducerSet *
+    /** All distinct byte producers of @p load_idx (binary search). */
+    Producers
     producersOf(TraceIndex load_idx) const
     {
-        auto it = producers.find(load_idx);
-        return it == producers.end() ? nullptr : &it->second;
+        auto it = std::lower_bound(loads.begin(), loads.end(), load_idx);
+        if (it == loads.end() || *it != load_idx)
+            return {};
+        size_t k = static_cast<size_t>(it - loads.begin());
+        return {producers.data() + offsets[k],
+                producers.data() + offsets[k + 1]};
     }
 
-    void
-    record(TraceIndex load_idx, const ProducerSet &set)
-    {
-        producers.emplace(load_idx, set);
-    }
+    /** Append @p load_idx's producers; loads arrive in trace order. */
+    void record(TraceIndex load_idx, Producers stores);
 
-    size_t size() const { return producers.size(); }
+    size_t size() const { return loads.size(); }
 
   private:
-    std::unordered_map<TraceIndex, ProducerSet> producers;
+    std::vector<TraceIndex> loads; ///< Sorted; loads with a producer.
+    /** loads[k]'s producers are producers[offsets[k], offsets[k+1]). */
+    std::vector<uint32_t> offsets{0};
+    std::vector<TraceIndex> producers;
 };
 
 /** One committed-path instruction, as the split-window model needs it. */

@@ -1,6 +1,7 @@
 #include "split/split_window.hh"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
 
 #include "base/addr_range.hh"
 #include "base/logging.hh"
@@ -13,16 +14,8 @@ namespace cwsim
 
 SplitWindowSim::SplitWindowSim(const SplitConfig &cfg,
                                const std::vector<TraceEntry> &trace)
-    : cfg(cfg), nodes(trace.size()), mdpt(MdpConfig{}),
-      dynFlags(trace.size(), 0), doneAt(trace.size(), 0),
-      addrPostedAt(trace.size(), 0),
-      sourceSeen(trace.size(), invalid_trace_index),
-      notBefore(trace.size(), 0), fetchedAt(trace.size(), 0),
-      issuedAt(trace.size(), 0), timesSquashed(trace.size(), 0),
-      headCommit(0), headChunk(0),
-      fetchCursor(cfg.numUnits, invalid_trace_index), globalCursor(0),
-      curCycle(0), numViolations(0), numCommitted(0), numLoads(0),
-      cpi(cfg.commitWidth)
+    : cfg(cfg), trace(trace), mdpt(MdpConfig{}),
+      fetchCursor(cfg.numUnits, invalid_trace_index), cpi(cfg.commitWidth)
 {
     fatal_if(cfg.numUnits == 0 || cfg.chunkSize == 0,
              "split config needs at least one unit and chunk");
@@ -31,12 +24,16 @@ SplitWindowSim::SplitWindowSim(const SplitConfig &cfg,
                  cfg.policy != SpecPolicy::SpecSync,
              "the split-window model supports NO, NAV and SYNC");
 
+    // windowEnd() spans numUnits + 1 chunks from headChunk's start; the
+    // extra chunk is margin.
+    TraceIndex ring = std::bit_ceil(
+        (TraceIndex{cfg.numUnits} + 2) * cfg.chunkSize);
+    ringMask = ring - 1;
+    flags.assign(ring, 0);
+    slots.resize(ring);
+    lastWriter.fill(invalid_trace_index);
+
     pipe = obs::TraceManager::instance().pipeView();
-    if (pipe) {
-        disasms.reserve(trace.size());
-        for (const TraceEntry &te : trace)
-            disasms.push_back(te.inst.disassemble());
-    }
 
     if (obs::DepProfManager::instance().active()) {
         dprof = std::make_unique<obs::DepProfile>(
@@ -45,79 +42,67 @@ SplitWindowSim::SplitWindowSim(const SplitConfig &cfg,
         mdpt.setProfile(dprof.get());
     }
 
-    // Precompute register and memory producers from the trace.
-    std::unordered_map<unsigned, TraceIndex> reg_writer;
-    std::unordered_map<Addr, TraceIndex> byte_writer;
-
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const TraceEntry &te = trace[i];
-        Node &node = nodes[i];
-        node.chunk = static_cast<unsigned>(i / cfg.chunkSize);
-        node.latency = te.inst.latency();
-        node.isLoad = te.inst.isLoad();
-        node.isStore = te.inst.isStore();
-        node.pc = te.pc;
-        node.addr = te.memAddr;
-        node.size = te.memSize;
-
-        auto lookup = [&](RegId reg) -> TraceIndex {
-            if (reg == reg_invalid || reg == reg_zero)
-                return invalid_trace_index;
-            auto it = reg_writer.find(reg);
-            return it == reg_writer.end() ? invalid_trace_index
-                                          : it->second;
-        };
-        node.src1Producer = lookup(te.inst.rs1);
-        node.src2Producer = lookup(te.inst.rs2);
-
-        if (node.isLoad) {
-            ++numLoads;
-            TraceIndex newest = invalid_trace_index;
-            for (unsigned b = 0; b < node.size; ++b) {
-                auto it = byte_writer.find(node.addr + b);
-                if (it != byte_writer.end() &&
-                    (newest == invalid_trace_index ||
-                     it->second > newest)) {
-                    newest = it->second;
-                }
-            }
-            node.memProducer = newest;
-        } else if (node.isStore) {
-            for (unsigned b = 0; b < node.size; ++b)
-                byte_writer[node.addr + b] = i;
-        }
-
-        if (te.inst.writesReg())
-            reg_writer[te.inst.rd] = i;
-    }
-
     for (unsigned u = 0; u < cfg.numUnits; ++u) {
         TraceIndex start = static_cast<TraceIndex>(u) * cfg.chunkSize;
-        fetchCursor[u] = start < nodes.size() ? start
+        fetchCursor[u] = start < trace.size() ? start
                                               : invalid_trace_index;
+    }
+    armThrough(windowEnd());
+}
+
+TraceIndex
+SplitWindowSim::windowEnd() const
+{
+    return std::min<TraceIndex>(
+        (TraceIndex{headChunk} + cfg.numUnits + 1) * cfg.chunkSize,
+        trace.size());
+}
+
+void
+SplitWindowSim::armThrough(TraceIndex end)
+{
+    for (; armedEnd < end; ++armedEnd) {
+        const StaticInst &si = trace[armedEnd].inst;
+        // writesReg() excludes reg_zero, so it never has a producer.
+        auto producer = [&](RegId reg) {
+            return reg == reg_invalid ? invalid_trace_index
+                                      : lastWriter[reg];
+        };
+        Slot &s = state(armedEnd);
+        s = Slot{};
+        s.src1Producer = producer(si.rs1);
+        s.src2Producer = producer(si.rs2);
+        flagsOf(armedEnd) = si.isLoad() ? IsLoad
+                            : si.isStore() ? IsStore
+                                           : 0;
+        if (si.isLoad())
+            ++numLoads;
+        if (si.writesReg())
+            lastWriter[si.rd] = armedEnd;
     }
 }
 
 bool
 SplitWindowSim::regReady(TraceIndex producer,
-                         unsigned consumer_chunk) const
+                         TraceIndex consumer_chunk_begin) const
 {
-    if (producer == invalid_trace_index)
+    // Below the commit head means committed; that slot may already
+    // hold a younger index.
+    if (producer == invalid_trace_index || producer < headCommit)
         return true;
-    if (has(producer, DynCommitted))
-        return true;
-    if (!has(producer, DynDone))
+    if (!(flagsOf(producer) & Done))
         return false;
-    Cycles forward = nodes[producer].chunk != consumer_chunk
-                         ? cfg.interUnitLatency
-                         : 0;
-    return doneAt[producer] + forward <= curCycle;
+    // A producer is always older than its consumer, so it sits in
+    // another chunk exactly when it precedes the consumer's chunk.
+    Cycles forward =
+        producer < consumer_chunk_begin ? cfg.interUnitLatency : 0;
+    return state(producer).doneAt + forward <= curCycle;
 }
 
 bool
 SplitWindowSim::loadMayIssue(TraceIndex idx) const
 {
-    const Node &node = nodes[idx];
+    const TraceEntry &load = trace[idx];
     bool speculate = cfg.policy != SpecPolicy::No;
 
     // SYNC: a load whose PC carries a synonym waits for the closest
@@ -126,28 +111,27 @@ SplitWindowSim::loadMayIssue(TraceIndex idx) const
     // the load keeps waiting — the synchronizing signal may simply not
     // have arrived from an earlier unit (Multiscalar-style wait).
     if (cfg.policy == SpecPolicy::SpecSync) {
-        Synonym syn = mdpt.synonymOf(node.pc);
+        Synonym syn = mdpt.synonymOf(load.pc);
         if (syn != invalid_synonym) {
             bool found_producer = false;
             bool all_fetched = true;
             for (TraceIndex j = idx; j-- > headCommit;) {
-                uint8_t f = dynFlags[j];
-                if (f & DynCommitted)
-                    break;
-                if (!(f & DynFetched)) {
+                uint8_t f = flagsOf(j);
+                if (!(f & Fetched)) {
                     all_fetched = false;
                     continue;
                 }
-                if (!nodes[j].isStore)
+                if (!(f & IsStore))
                     continue;
-                if (mdpt.synonymOf(nodes[j].pc) == syn) {
+                if (mdpt.synonymOf(trace[j].pc) == syn) {
                     found_producer = true;
-                    if (!(f & DynDone) ||
-                        doneAt[j] + cfg.interUnitLatency > curCycle) {
+                    if (!(f & Done) ||
+                        state(j).doneAt + cfg.interUnitLatency >
+                            curCycle) {
                         // Per refused cycle, so the counter reads as
                         // cycles spent synchronizing on this edge.
                         if (__builtin_expect(dprof != nullptr, 0)) {
-                            dprof->noteSyncWait(node.pc, nodes[j].pc,
+                            dprof->noteSyncWait(load.pc, trace[j].pc,
                                                 idx - j);
                         }
                         return false;
@@ -166,26 +150,24 @@ SplitWindowSim::loadMayIssue(TraceIndex idx) const
     bool ambiguous = false;
 
     for (TraceIndex j = headCommit; j < idx; ++j) {
-        uint8_t f = dynFlags[j];
-        if (f & DynCommitted)
-            continue;
-        if (!(f & DynFetched)) {
+        uint8_t f = flagsOf(j);
+        if (!(f & Fetched)) {
             all_older_fetched = false;
             continue;
         }
-        if (!nodes[j].isStore)
+        if (!(f & IsStore))
             continue;
         if (cfg.lsqModel == LsqModel::AS) {
-            if ((f & DynAddrPosted) && addrPostedAt[j] <= curCycle) {
-                const Node &older = nodes[j];
-                bool overlap = rangesOverlap(older.addr, older.size,
-                                             node.addr, node.size);
-                if (overlap && !(f & DynDone))
+            if ((f & AddrPosted) && state(j).addrPostedAt <= curCycle) {
+                const TraceEntry &older = trace[j];
+                bool overlap = rangesOverlap(older.memAddr, older.memSize,
+                                             load.memAddr, load.memSize);
+                if (overlap && !(f & Done))
                     return false; // known true dependence: wait
             } else {
                 ambiguous = true;
             }
-        } else if (!(f & DynDone)) {
+        } else if (!(f & Done)) {
             ambiguous = true; // NAS: unexecuted older store
         }
     }
@@ -198,32 +180,30 @@ SplitWindowSim::loadMayIssue(TraceIndex idx) const
 void
 SplitWindowSim::executeStore(TraceIndex idx)
 {
-    const Node &store = nodes[idx];
-    set(idx, DynIssued | DynDone);
-    issuedAt[idx] = curCycle;
-    doneAt[idx] = curCycle;
+    const TraceEntry &store = trace[idx];
+    flagsOf(idx) |= Issued | Done;
+    state(idx).issuedAt = curCycle;
+    state(idx).doneAt = curCycle;
 
     // Detect the oldest younger load that consumed a stale value.
-    for (TraceIndex j = idx + 1;
-         j < nodes.size() && nodes[j].chunk <=
-             headChunk + cfg.numUnits; ++j) {
-        const Node &load = nodes[j];
-        if (!load.isLoad || !has(j, DynDone))
+    for (TraceIndex j = idx + 1, end = windowEnd(); j < end; ++j) {
+        if ((flagsOf(j) & (IsLoad | Done)) != (IsLoad | Done))
             continue;
-        bool overlap = rangesOverlap(store.addr, store.size,
-                                     load.addr, load.size);
+        const TraceEntry &load = trace[j];
+        bool overlap = rangesOverlap(store.memAddr, store.memSize,
+                                     load.memAddr, load.memSize);
         if (!overlap)
             continue;
-        if (sourceSeen[j] != invalid_trace_index &&
-            sourceSeen[j] >= idx) {
+        TraceIndex seen = state(j).sourceSeen;
+        if (seen != invalid_trace_index && seen >= idx)
             continue; // already forwarded from this store or younger
-        }
         ++numViolations;
         if (__builtin_expect(dprof != nullptr, 0)) {
             dprof->noteViolation(
                 store.pc, load.pc, j - idx,
-                store.addr <= load.addr &&
-                    store.addr + store.size >= load.addr + load.size);
+                store.memAddr <= load.memAddr &&
+                    store.memAddr + store.memSize >=
+                        load.memAddr + load.memSize);
         }
         CWSIM_TRACE(Split, "violation: load idx %llu pc 0x%llx "
                     "vs store idx %llu pc 0x%llx addr 0x%llx",
@@ -231,7 +211,7 @@ SplitWindowSim::executeStore(TraceIndex idx)
                     static_cast<unsigned long long>(load.pc),
                     static_cast<unsigned long long>(idx),
                     static_cast<unsigned long long>(store.pc),
-                    static_cast<unsigned long long>(store.addr));
+                    static_cast<unsigned long long>(store.memAddr));
         if (cfg.policy == SpecPolicy::SpecSync)
             mdpt.pair(load.pc, store.pc);
         squashFrom(j);
@@ -243,18 +223,16 @@ void
 SplitWindowSim::squashFrom(TraceIndex idx)
 {
     unsigned squashed = 0;
-    for (TraceIndex j = idx; j < nodes.size(); ++j) {
-        // Only in-flight chunks can have made progress.
-        if (nodes[j].chunk > headChunk + cfg.numUnits)
-            break;
-        if (!(dynFlags[j] &
-              (DynFetched | DynDone | DynAddrPosted))) {
+    // Only in-flight chunks can have made progress.
+    for (TraceIndex j = idx, end = windowEnd(); j < end; ++j) {
+        uint8_t &f = flagsOf(j);
+        if (!(f & (Fetched | Done | AddrPosted)))
             continue;
-        }
-        clr(j, DynIssued | DynDone | DynAddrPosted);
-        sourceSeen[j] = invalid_trace_index;
-        notBefore[j] = curCycle + cfg.squashPenalty;
-        ++timesSquashed[j];
+        f &= static_cast<uint8_t>(~(Issued | Done | AddrPosted));
+        Slot &s = state(j);
+        s.sourceSeen = invalid_trace_index;
+        s.notBefore = curCycle + cfg.squashPenalty;
+        ++s.timesSquashed;
         ++squashed;
     }
     CWSIM_TRACE(Split, "squash: %u insts from idx %llu, re-dispatch "
@@ -268,7 +246,7 @@ uint64_t
 SplitWindowSim::run()
 {
     const uint64_t max_cycles = 100'000'000;
-    const TraceIndex n = nodes.size();
+    const TraceIndex n = trace.size();
     if (n == 0)
         return 0;
 
@@ -289,8 +267,8 @@ SplitWindowSim::run()
                 cfg.unitFetchWidth * cfg.numUnits;
             while (budget > 0 && globalCursor < n &&
                    globalCursor < window_end) {
-                set(globalCursor, DynFetched);
-                fetchedAt[globalCursor] = curCycle;
+                flagsOf(globalCursor) |= Fetched;
+                state(globalCursor).fetchedAt = curCycle;
                 ++globalCursor;
                 --budget;
             }
@@ -302,7 +280,7 @@ SplitWindowSim::run()
                 TraceIndex cursor = fetchCursor[u];
                 if (cursor == invalid_trace_index)
                     continue;
-                unsigned chunk = nodes[cursor].chunk;
+                unsigned chunk = chunkOf(cursor);
                 if (chunk >= headChunk + cfg.numUnits)
                     continue; // not yet in flight
                 TraceIndex chunk_end = std::min<TraceIndex>(
@@ -310,8 +288,8 @@ SplitWindowSim::run()
                     n);
                 unsigned budget = cfg.unitFetchWidth;
                 while (budget > 0 && cursor < chunk_end) {
-                    set(cursor, DynFetched);
-                    fetchedAt[cursor] = curCycle;
+                    flagsOf(cursor) |= Fetched;
+                    state(cursor).fetchedAt = curCycle;
                     ++cursor;
                     --budget;
                 }
@@ -347,74 +325,71 @@ SplitWindowSim::run()
                 std::min<TraceIndex>(begin + cfg.chunkSize, n);
             for (TraceIndex i = std::max(begin, headCommit);
                  i < end && budget > 0; ++i) {
-                const Node &node = nodes[i];
-                uint8_t f = dynFlags[i];
-                if (!(f & DynFetched) || (f & DynCommitted) ||
-                    notBefore[i] > curCycle) {
+                uint8_t f = flagsOf(i);
+                Slot &s = state(i);
+                if (!(f & Fetched) || s.notBefore > curCycle)
                     continue;
-                }
 
                 // AS stores post addresses as soon as the base register
                 // arrives (no issue slot consumed).
-                if (node.isStore && cfg.lsqModel == LsqModel::AS &&
-                    !(f & DynAddrPosted) &&
-                    regReady(node.src1Producer, node.chunk)) {
-                    set(i, DynAddrPosted);
-                    addrPostedAt[i] = curCycle + cfg.asLatency;
+                if ((f & IsStore) && cfg.lsqModel == LsqModel::AS &&
+                    !(f & AddrPosted) && regReady(s.src1Producer, begin)) {
+                    flagsOf(i) |= AddrPosted;
+                    s.addrPostedAt = curCycle + cfg.asLatency;
                 }
 
-                if (f & DynDone)
+                if (f & Done)
                     continue;
 
-                if (node.isStore) {
-                    if (regReady(node.src1Producer, node.chunk) &&
-                        regReady(node.src2Producer, node.chunk)) {
+                if (f & IsStore) {
+                    if (regReady(s.src1Producer, begin) &&
+                        regReady(s.src2Producer, begin)) {
                         --budget;
                         executeStore(i);
                     }
                     continue;
                 }
 
-                if (node.isLoad) {
-                    if (!regReady(node.src1Producer, node.chunk))
+                if (f & IsLoad) {
+                    if (!regReady(s.src1Producer, begin))
                         continue;
                     if (!loadMayIssue(i))
                         continue;
                     --budget;
                     // Record the youngest older executed store the
                     // load forwards from (if any).
+                    const TraceEntry &load = trace[i];
                     TraceIndex source = invalid_trace_index;
                     for (TraceIndex j = headCommit; j < i; ++j) {
-                        const Node &older = nodes[j];
-                        if (older.isStore &&
-                            (dynFlags[j] &
-                             (DynDone | DynCommitted)) == DynDone &&
-                            rangesOverlap(older.addr, older.size,
-                                          node.addr, node.size)) {
+                        if ((flagsOf(j) & (IsStore | Done)) ==
+                                (IsStore | Done) &&
+                            rangesOverlap(trace[j].memAddr,
+                                          trace[j].memSize, load.memAddr,
+                                          load.memSize)) {
                             source = j;
                         }
                     }
-                    sourceSeen[i] = source;
+                    s.sourceSeen = source;
                     if (__builtin_expect(dprof != nullptr, 0)) {
                         dprof->noteLoadExec(
-                            node.pc, source != invalid_trace_index);
+                            load.pc, source != invalid_trace_index);
                     }
-                    set(i, DynIssued | DynDone);
-                    issuedAt[i] = curCycle;
-                    doneAt[i] = curCycle + cfg.memLatency +
-                                (cfg.lsqModel == LsqModel::AS
-                                     ? cfg.asLatency
-                                     : 0);
+                    flagsOf(i) |= Issued | Done;
+                    s.issuedAt = curCycle;
+                    s.doneAt = curCycle + cfg.memLatency +
+                               (cfg.lsqModel == LsqModel::AS
+                                    ? cfg.asLatency
+                                    : 0);
                     continue;
                 }
 
                 // Plain computational / control work.
-                if (regReady(node.src1Producer, node.chunk) &&
-                    regReady(node.src2Producer, node.chunk)) {
+                if (regReady(s.src1Producer, begin) &&
+                    regReady(s.src2Producer, begin)) {
                     --budget;
-                    set(i, DynIssued | DynDone);
-                    issuedAt[i] = curCycle;
-                    doneAt[i] = curCycle + node.latency;
+                    flagsOf(i) |= Issued | Done;
+                    s.issuedAt = curCycle;
+                    s.doneAt = curCycle + trace[i].inst.latency();
                 }
             }
         }
@@ -422,16 +397,15 @@ SplitWindowSim::run()
         // ---- commit: global, in order ----
         unsigned commits = 0;
         while (headCommit < n && commits < cfg.commitWidth) {
-            const Node &head = nodes[headCommit];
-            if (!has(headCommit, DynDone) ||
-                doneAt[headCommit] > curCycle) {
+            uint8_t f = flagsOf(headCommit);
+            const Slot &s = state(headCommit);
+            if (!(f & Done) || s.doneAt > curCycle)
                 break;
-            }
-            set(headCommit, DynCommitted);
+            const TraceEntry &head = trace[headCommit];
             if (__builtin_expect(dprof != nullptr, 0)) {
-                if (head.isLoad)
+                if (f & IsLoad)
                     dprof->noteLoadCommit(head.pc);
-                else if (head.isStore)
+                else if (f & IsStore)
                     dprof->noteStoreCommit(head.pc);
             }
             if (pipe) {
@@ -439,20 +413,19 @@ SplitWindowSim::run()
                 obs::PipeViewWriter::Record r;
                 r.seq = headCommit + 1; // pipeview seqs start at 1
                 r.pc = head.pc;
-                r.fetch = fetchedAt[headCommit];
+                r.fetch = s.fetchedAt;
                 r.decode = r.fetch;
                 r.rename = r.fetch;
                 r.dispatch = r.fetch;
-                r.issue = issuedAt[headCommit];
-                r.complete = doneAt[headCommit];
+                r.issue = s.issuedAt;
+                r.complete = s.doneAt;
                 r.retire = curCycle;
-                if (head.isStore)
+                if (f & IsStore)
                     r.storeComplete = r.retire;
-                r.disasm = disasms[headCommit];
-                if (timesSquashed[headCommit]) {
-                    r.disasm +=
-                        strfmt(" [squashed x%u]",
-                               unsigned{timesSquashed[headCommit]});
+                r.disasm = head.inst.disassemble();
+                if (s.timesSquashed) {
+                    r.disasm += strfmt(" [squashed x%u]",
+                                       unsigned{s.timesSquashed});
                 }
                 pipe->write(r);
             }
@@ -469,7 +442,7 @@ SplitWindowSim::run()
         if (commits > 0)
             wdog.progress(curCycle);
         if (wdog.expired(curCycle)) {
-            const Node &head = nodes[headCommit];
+            uint8_t f = flagsOf(headCommit);
             throw SimError(
                 SimErrorKind::Watchdog,
                 strfmt("split-window: no commit in %llu cycles",
@@ -480,26 +453,21 @@ SplitWindowSim::run()
                        "fetched=%d issued=%d done=%d addrPosted=%d "
                        "notBefore=%llu, headChunk %u\n",
                        static_cast<unsigned long long>(headCommit),
-                       nodes.size(), head.chunk,
-                       static_cast<unsigned long long>(head.pc),
-                       has(headCommit, DynFetched),
-                       has(headCommit, DynIssued),
-                       has(headCommit, DynDone),
-                       has(headCommit, DynAddrPosted),
+                       trace.size(), chunkOf(headCommit),
                        static_cast<unsigned long long>(
-                           notBefore[headCommit]),
+                           trace[headCommit].pc),
+                       bool(f & Fetched), bool(f & Issued),
+                       bool(f & Done), bool(f & AddrPosted),
+                       static_cast<unsigned long long>(
+                           state(headCommit).notBefore),
                        headChunk));
         }
 
-        // Advance the chunk window; arm fetch for newly in-flight
-        // chunks.
-        unsigned new_head_chunk =
-            headCommit < n
-                ? nodes[headCommit].chunk
-                : static_cast<unsigned>((n - 1) / cfg.chunkSize);
+        // Advance the chunk window and arm the chunks that enter it.
         // Slot fetch cursors self-advance to their next assigned
         // chunk; advancing headChunk just widens the in-flight window.
-        headChunk = new_head_chunk;
+        headChunk = headCommit < n ? chunkOf(headCommit) : chunkOf(n - 1);
+        armThrough(windowEnd());
 
         ++curCycle;
     }
@@ -530,48 +498,29 @@ SplitWindowSim::classifyResidual() const
 {
     using obs::CpiCause;
 
-    const TraceIndex n = nodes.size();
     // Everything committed: only the trailing cycle's spare slots.
-    if (headCommit >= n)
+    if (headCommit >= trace.size())
         return CpiCause::FrontEndIdle;
 
-    const Node &head = nodes[headCommit];
-    if (!has(headCommit, DynFetched))
+    uint8_t f = flagsOf(headCommit);
+    if (!(f & Fetched))
         return CpiCause::FrontEndIdle;
     // Squash penalty wait or post-squash re-execution: recovery cost.
-    if (timesSquashed[headCommit] > 0)
+    if (state(headCommit).timesSquashed > 0)
         return CpiCause::MemDepSquash;
 
-    if (has(headCommit, DynDone)) {
+    if ((f & Done) && (f & IsLoad)) {
         // In flight (doneAt > curCycle). AS loads spend the first
         // asLatency cycles in the address-scheduler pipeline.
-        if (head.isLoad) {
-            return (cfg.lsqModel == LsqModel::AS &&
-                    curCycle - issuedAt[headCommit] <
-                        Tick{cfg.asLatency})
-                ? CpiCause::AddrSched
-                : CpiCause::CacheMiss;
-        }
-        return CpiCause::Exec;
+        return (cfg.lsqModel == LsqModel::AS &&
+                curCycle - state(headCommit).issuedAt <
+                    Tick{cfg.asLatency})
+            ? CpiCause::AddrSched
+            : CpiCause::CacheMiss;
     }
-
-    if (head.isLoad && regReady(head.src1Producer, head.chunk) &&
-        !loadMayIssue(headCommit)) {
-        // Gate-blocked with a ready address: under SYNC a
-        // synonym-carrying load is synchronizing; otherwise the hold
-        // is a dependence wait — true when the trace's producing
-        // store is genuinely outstanding, false otherwise.
-        if (cfg.policy == SpecPolicy::SpecSync &&
-            mdpt.synonymOf(head.pc) != invalid_synonym) {
-            return CpiCause::SyncWait;
-        }
-        bool true_dep =
-            head.memProducer != invalid_trace_index &&
-            !(dynFlags[head.memProducer] &
-              (DynCommitted | DynDone));
-        return true_dep ? CpiCause::TrueDep : CpiCause::FalseDep;
-    }
-
+    // Never a dependence or sync wait: loadMayIssue(headCommit) always
+    // holds, since both of its scans cover the empty range below the
+    // head (DESIGN.md §11).
     return CpiCause::Exec;
 }
 

@@ -25,6 +25,7 @@
 #ifndef CWSIM_SPLIT_SPLIT_WINDOW_HH
 #define CWSIM_SPLIT_SPLIT_WINDOW_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -100,6 +101,7 @@ class SplitWindowSim
     /**
      * @param cfg Model parameters.
      * @param trace Committed-path trace from runPrepass(recordTrace).
+     *        Held by reference: it must outlive the model.
      */
     SplitWindowSim(const SplitConfig &cfg,
                    const std::vector<TraceEntry> &trace);
@@ -131,47 +133,57 @@ class SplitWindowSim
 
   private:
     /**
-     * Static, precomputed description of one trace entry. The dynamic
-     * per-index execution state lives in the parallel arrays below
-     * (structure-of-arrays): the per-cycle scans — loadMayIssue's
-     * walk over every older in-flight instruction, executeStore's
-     * walk over every younger in-flight load — each test a couple of
-     * booleans per index, and packing those into a dense flag byte
-     * keeps a whole chunk window's scan state in a few cache lines
-     * instead of dragging one Node record per index.
+     * Per-slot flags: the dynamic execution state plus the entry's
+     * memory kind, copied from the trace when the slot is armed so the
+     * per-cycle scans (loadMayIssue's walk over every older in-flight
+     * instruction, executeStore's walk over every younger one) test a
+     * single dense byte per index.
      */
-    struct Node
+    enum SlotFlag : uint8_t
+    {
+        Fetched = 1 << 0,
+        Issued = 1 << 1,
+        Done = 1 << 2,
+        AddrPosted = 1 << 3,
+        IsLoad = 1 << 4,
+        IsStore = 1 << 5,
+    };
+
+    /** The rest of one in-flight trace index's state. */
+    struct Slot
     {
         TraceIndex src1Producer = invalid_trace_index;
         TraceIndex src2Producer = invalid_trace_index;
-        TraceIndex memProducer = invalid_trace_index; ///< true producer
-        unsigned chunk = 0;
-        bool isLoad = false;
-        bool isStore = false;
-        Addr pc = 0;
-        Addr addr = invalid_addr;
-        unsigned size = 0;
-        Cycles latency = 1;
+        /** For loads: youngest older store whose value was consumed. */
+        TraceIndex sourceSeen = invalid_trace_index;
+        Tick doneAt = 0;       ///< Completion time once Done.
+        Tick addrPostedAt = 0; ///< AS address-post time.
+        Tick notBefore = 0;    ///< Earliest re-issue after a squash.
+        Tick fetchedAt = 0;    ///< Pipeline timeline (O3PipeView).
+        Tick issuedAt = 0;
+        uint16_t timesSquashed = 0;
     };
 
-    /** Packed per-index dynamic flags (the hot scan predicates). */
-    enum DynFlag : uint8_t
+    size_t slotOf(TraceIndex i) const { return i & ringMask; }
+    uint8_t &flagsOf(TraceIndex i) { return flags[slotOf(i)]; }
+    uint8_t flagsOf(TraceIndex i) const { return flags[slotOf(i)]; }
+    Slot &state(TraceIndex i) { return slots[slotOf(i)]; }
+    const Slot &state(TraceIndex i) const { return slots[slotOf(i)]; }
+    unsigned chunkOf(TraceIndex i) const
     {
-        DynFetched = 1 << 0,
-        DynIssued = 1 << 1,
-        DynDone = 1 << 2,
-        DynAddrPosted = 1 << 3,
-        DynCommitted = 1 << 4,
-    };
-
-    bool has(TraceIndex i, uint8_t f) const { return dynFlags[i] & f; }
-    void set(TraceIndex i, uint8_t f) { dynFlags[i] |= f; }
-    void clr(TraceIndex i, uint8_t f)
-    {
-        dynFlags[i] &= static_cast<uint8_t>(~f);
+        return static_cast<unsigned>(i / cfg.chunkSize);
     }
 
-    bool regReady(TraceIndex producer, unsigned consumer_chunk) const;
+    /**
+     * One past the youngest index the model may touch this cycle: the
+     * end of the chunk numUnits past headChunk, which executeStore and
+     * squashFrom scan (continuous fetch also reaches into it).
+     */
+    TraceIndex windowEnd() const;
+    /** Reset the ring slots of every index below @p end, in order. */
+    void armThrough(TraceIndex end);
+
+    bool regReady(TraceIndex producer, TraceIndex consumer_chunk_begin) const;
     bool loadMayIssue(TraceIndex idx) const;
     void executeStore(TraceIndex idx);
     void squashFrom(TraceIndex idx);
@@ -179,37 +191,37 @@ class SplitWindowSim
     obs::CpiCause classifyResidual() const;
 
     SplitConfig cfg;
-    std::vector<Node> nodes; ///< Static trace description (AoS).
+    /** Caller-owned; must outlive the model. Static facts come from here. */
+    const std::vector<TraceEntry> &trace;
     MdpTable mdpt;
 
-    // Dynamic state, indexed by trace position (SoA).
-    std::vector<uint8_t> dynFlags;  ///< DynFlag bits.
-    std::vector<Tick> doneAt;       ///< Completion time once DynDone.
-    std::vector<Tick> addrPostedAt; ///< AS address-post time.
-    /** For loads: youngest older store whose value was consumed. */
-    std::vector<TraceIndex> sourceSeen;
-    /** Earliest re-issue time after a squash. */
-    std::vector<Tick> notBefore;
-
-    // Pipeline timeline (O3PipeView traces) and squash counts.
-    std::vector<Tick> fetchedAt;
-    std::vector<Tick> issuedAt;
-    std::vector<uint16_t> timesSquashed;
+    /**
+     * In-flight state in a power-of-two ring indexed by trace index,
+     * sized from the config (numUnits + 2 chunks, rounded up), never
+     * from the trace length. An index's slot is armed when its chunk
+     * comes within windowEnd(); by then the index one ring length
+     * older has committed, and every index below headCommit counts as
+     * committed without looking at its slot.
+     */
+    TraceIndex ringMask = 0;
+    std::vector<uint8_t> flags; ///< SlotFlag bits.
+    std::vector<Slot> slots;
+    TraceIndex armedEnd = 0; ///< Indices below this have been armed.
+    /** Last writer of each register among the armed indices. */
+    std::array<TraceIndex, 256> lastWriter;
 
     /** Pipeline-trace writer (nullptr when not recording). */
     obs::PipeViewWriter *pipe = nullptr;
-    /** Per-node disassembly, filled only while @ref pipe is active. */
-    std::vector<std::string> disasms;
 
-    TraceIndex headCommit;   ///< Next instruction to commit.
-    unsigned headChunk;      ///< Oldest in-flight chunk.
+    TraceIndex headCommit = 0; ///< Next instruction to commit.
+    unsigned headChunk = 0;    ///< Oldest in-flight chunk.
     std::vector<TraceIndex> fetchCursor; ///< Next fetch per unit slot.
-    TraceIndex globalCursor; ///< Continuous-mode fetch cursor.
+    TraceIndex globalCursor = 0; ///< Continuous-mode fetch cursor.
 
-    Tick curCycle;
-    uint64_t numViolations;
-    uint64_t numCommitted;
-    uint64_t numLoads;
+    Tick curCycle = 0;
+    uint64_t numViolations = 0;
+    uint64_t numCommitted = 0;
+    uint64_t numLoads = 0;
     obs::CpiStack cpi;
     /**
      * Per-static-PC dependence attribution (nullptr when profiling is

@@ -233,5 +233,38 @@ TEST(CpiSplitWindow, ConservationAcrossWindowTypesAndPolicies)
     }
 }
 
+TEST(CpiSplitWindow, NeverBlamesADependenceGate)
+{
+    // The split model classifies a stall only at the commit head, where
+    // nothing older is in flight: its policy gate always lets the head
+    // load issue, so sync-wait and dependence-wait slots cannot occur.
+    Workload w = workloads::build("129.compress", 3000);
+    PrepassOptions popts;
+    popts.recordTrace = true;
+    PrepassResult pre = runPrepass(w.program, popts);
+    ASSERT_TRUE(pre.halted);
+
+    for (bool split : {false, true}) {
+        for (LsqModel model : {LsqModel::NAS, LsqModel::AS}) {
+            for (SpecPolicy policy : {SpecPolicy::No, SpecPolicy::Naive,
+                                      SpecPolicy::SpecSync}) {
+                SplitConfig cfg;
+                if (!split)
+                    cfg = SplitConfig::continuous();
+                cfg.lsqModel = model;
+                cfg.policy = policy;
+                SplitWindowSim sim(cfg, pre.trace);
+                sim.run();
+                SCOPED_TRACE(std::string(split ? "split " : "continuous ") +
+                             configName(model, policy));
+                const CpiStack &cpi = sim.cpiStack();
+                EXPECT_EQ(cpi.slot(CpiCause::SyncWait), 0u);
+                EXPECT_EQ(cpi.slot(CpiCause::TrueDep), 0u);
+                EXPECT_EQ(cpi.slot(CpiCause::FalseDep), 0u);
+            }
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace cwsim

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "isa/builder.hh"
 #include "mdp/mdp_table.hh"
 #include "mdp/oracle.hh"
 #include "sim/config.hh"
+#include "stress_programs.hh"
+#include "workloads/workload.hh"
 
 namespace cwsim
 {
@@ -314,6 +320,72 @@ TEST(OracleTest, TraceMatchesInstCount)
     EXPECT_EQ(pre.trace.size(), pre.instCount);
     // Trace entries carry the PCs in execution order.
     EXPECT_EQ(pre.trace[0].pc, b.build().entry());
+}
+
+/**
+ * Check every load's oracle producers against a reference built here
+ * with a per-byte last-writer map, independently of the oracle's own
+ * storage. @return the number of loads with more than one producer.
+ */
+size_t
+expectOracleMatchesReference(const Program &prog, const std::string &what)
+{
+    PrepassOptions opts;
+    opts.recordTrace = true;
+    PrepassResult pre = runPrepass(prog, opts);
+    EXPECT_TRUE(pre.halted) << what;
+
+    std::unordered_map<Addr, TraceIndex> last_writer;
+    size_t loads_with_producers = 0;
+    size_t multi_producer_loads = 0;
+    for (TraceIndex i = 0; i < pre.trace.size(); ++i) {
+        const TraceEntry &te = pre.trace[i];
+        std::vector<TraceIndex> expect;
+        if (te.inst.isLoad()) {
+            for (unsigned b = 0; b < te.memSize; ++b) {
+                auto it = last_writer.find(te.memAddr + b);
+                if (it != last_writer.end())
+                    expect.push_back(it->second);
+            }
+            std::sort(expect.begin(), expect.end());
+            expect.erase(std::unique(expect.begin(), expect.end()),
+                         expect.end());
+            loads_with_producers += !expect.empty();
+        } else if (te.inst.isStore()) {
+            for (unsigned b = 0; b < te.memSize; ++b)
+                last_writer[te.memAddr + b] = i;
+        }
+        OracleDeps::Producers got = pre.deps.producersOf(i);
+        if (std::vector<TraceIndex>(got.begin(), got.end()) != expect) {
+            ADD_FAILURE() << what << ": producers differ at trace index "
+                          << i;
+            return multi_producer_loads;
+        }
+        EXPECT_EQ(pre.deps.producerOf(i),
+                  expect.empty() ? invalid_trace_index : expect.back());
+        multi_producer_loads += expect.size() > 1;
+    }
+    EXPECT_EQ(pre.deps.size(), loads_with_producers) << what;
+    return multi_producer_loads;
+}
+
+TEST(OracleTest, ProducersMatchPerByteReferenceOnAllKernels)
+{
+    for (const std::string &name : workloads::allNames())
+        expectOracleMatchesReference(workloads::build(name, 4000).program,
+                                     name);
+}
+
+TEST(OracleTest, ProducersMatchPerByteReferenceOnPartialOverlaps)
+{
+    // 1-, 4- and 8-byte stores and loads clashing in one 16-byte cell:
+    // loads with several distinct producers.
+    size_t multi_producer_loads = 0;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        multi_producer_loads += expectOracleMatchesReference(
+            partialOverlapStress(seed), "stress seed " + std::to_string(seed));
+    }
+    EXPECT_GT(multi_producer_loads, 0u);
 }
 
 } // anonymous namespace
