@@ -1,25 +1,21 @@
 /**
  * @file
- * A bump-pointer arena for per-run heap churn, plus an STL allocator
- * adaptor so node-based containers (std::set, std::unordered_map) and
- * small vectors can draw from it.
+ * A bump-pointer arena: allocate() is a pointer bump, deallocate() a
+ * no-op, and reset() reclaims everything at once while keeping the
+ * chunks for reuse.
  *
- * The simulator's hot allocations are all transient per-instruction
- * bookkeeping: unissued-store/barrier tracking sets, store-buffer
- * synonym lists, byte-index lists. They are created and destroyed
- * millions of times per run but none outlive the Processor that owns
- * them. An arena turns each of those malloc/free pairs into a pointer
- * bump and a no-op: memory is reclaimed wholesale by reset() between
- * runs, when no arena-backed object is alive.
+ * The simulator itself no longer allocates from it. Its per-run
+ * containers are plain std:: containers sized by the window they
+ * track, because a no-op deallocate made the arena grow with run
+ * length instead (see DESIGN.md §15). The class and runArena() remain
+ * only for the benchmark under perfbench/, which still resets
+ * it.
  *
- * Lifetime rules (see DESIGN.md §15):
+ * Lifetime rules:
  *  - runArena() returns this thread's arena; sweep workers are
  *    threads, so runs never share one.
  *  - Everything allocated from the arena must be destroyed before
- *    reset(). The harness resets only after the Processor for a run
- *    has been destructed.
- *  - reset() keeps the chunks, so the second run onward allocates out
- *    of warm, already-faulted memory.
+ *    reset().
  */
 
 #ifndef CWSIM_BASE_ARENA_HH
@@ -28,9 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 namespace cwsim
@@ -123,68 +116,10 @@ class Arena
 };
 
 /**
- * This thread's per-run arena. The harness resets it between runs;
- * code that does not go through the harness simply never resets it,
- * which wastes memory but is always correct.
+ * This thread's arena. Code that never resets it wastes memory but is
+ * always correct.
  */
 Arena &runArena();
-
-/**
- * STL allocator drawing from a fixed Arena. Default-constructs bound
- * to runArena(), so container members need no explicit plumbing.
- */
-template <class T>
-class ArenaAlloc
-{
-  public:
-    using value_type = T;
-
-    ArenaAlloc() : arena(&runArena()) {}
-    explicit ArenaAlloc(Arena &a) : arena(&a) {}
-    template <class U>
-    ArenaAlloc(const ArenaAlloc<U> &o) : arena(o.arena)
-    {
-    }
-
-    T *
-    allocate(size_t n)
-    {
-        return static_cast<T *>(
-            arena->allocate(n * sizeof(T), alignof(T)));
-    }
-
-    void
-    deallocate(T *p, size_t n)
-    {
-        arena->deallocate(p, n * sizeof(T));
-    }
-
-    template <class U>
-    bool
-    operator==(const ArenaAlloc<U> &o) const
-    {
-        return arena == o.arena;
-    }
-    template <class U>
-    bool
-    operator!=(const ArenaAlloc<U> &o) const
-    {
-        return arena != o.arena;
-    }
-
-    Arena *arena;
-};
-
-/** Containers bound to the current thread's run arena by default. */
-template <class T>
-using ArenaVec = std::vector<T, ArenaAlloc<T>>;
-
-template <class T, class Cmp = std::less<T>>
-using ArenaSet = std::set<T, Cmp, ArenaAlloc<T>>;
-
-template <class K, class V, class Hash = std::hash<K>>
-using ArenaMap = std::unordered_map<K, V, Hash, std::equal_to<K>,
-                                    ArenaAlloc<std::pair<const K, V>>>;
 
 } // namespace cwsim
 

@@ -5,14 +5,20 @@
  * buffer keeps one over executed store data (forwarding lookups: the
  * youngest older store writing a byte), and the processor keeps one
  * over issued loads (violation checks: the younger loads reading any
- * byte a store writes). Both replace per-access linear sweeps of the
- * whole structure with O(bytes) point lookups.
+ * byte a store writes).
+ *
+ * Storage is one seq-ordered vector of the live accesses, so it is
+ * bounded by what is in flight (at most a window's or a store buffer's
+ * worth of entries), never by how many addresses a run has touched.
+ * Every query is a dense scan over that vector, starting from the age
+ * bound it is given: the paper's 128-entry structures make the scan
+ * cheaper than any per-byte map (see DESIGN.md §10).
  *
  * Entries are (seq, slot) pairs where slot is the owner's stable
  * CircularQueue slot; stale slots are the caller's problem (verify seq
- * against the slot's current occupant). Per-byte lists are kept sorted
- * by seq; they are tiny in practice (few writers of one byte coexist
- * in a 128-entry window), so sorted-vector insertion beats any tree.
+ * against the slot's current occupant). Byte coverage is evaluated
+ * modulo the address space (rangeCoversByte), exactly as a per-byte
+ * table keyed by `addr + i` would see it.
  */
 
 #ifndef CWSIM_BASE_BYTE_INDEX_HH
@@ -20,10 +26,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
-#include "base/arena.hh"
+#include "base/addr_range.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 
@@ -39,19 +45,21 @@ class ByteSeqIndex
         size_t slot = 0;
     };
 
+    /** Largest access newestBeforeEach() can answer for. */
+    static constexpr unsigned max_access_bytes = 8;
+
     /** Register [addr, addr+size) as written/read by (@p seq, @p slot). */
     void
     add(Addr addr, unsigned size, InstSeqNum seq, size_t slot)
     {
-        for (unsigned i = 0; i < size; ++i) {
-            ArenaVec<Ref> &v = bytes[addr + i];
-            // Mostly appended in age order; walk back over the few
-            // younger entries when not.
-            size_t pos = v.size();
-            while (pos > 0 && v[pos - 1].seq > seq)
-                --pos;
-            v.insert(v.begin() + pos, Ref{seq, slot});
-        }
+        if (size == 0)
+            return;
+        // Mostly appended in age order; walk back over the few
+        // younger entries when not.
+        size_t pos = entries.size();
+        while (pos > 0 && entries[pos - 1].seq > seq)
+            --pos;
+        entries.insert(entries.begin() + pos, Entry{addr, size, seq, slot});
         population += size;
     }
 
@@ -59,22 +67,14 @@ class ByteSeqIndex
     void
     remove(Addr addr, unsigned size, InstSeqNum seq)
     {
-        for (unsigned i = 0; i < size; ++i) {
-            auto it = bytes.find(addr + i);
-            panic_if(it == bytes.end(),
-                     "ByteSeqIndex::remove of unindexed byte");
-            ArenaVec<Ref> &v = it->second;
-            size_t pos = v.size();
-            while (pos > 0 && v[pos - 1].seq != seq)
-                --pos;
-            panic_if(pos == 0,
-                     "ByteSeqIndex::remove of unindexed seq");
-            v.erase(v.begin() + (pos - 1));
-            // Deliberately keep the now-empty list: program locality
-            // means the same byte is touched again almost immediately,
-            // and erasing would churn a map node (hash + allocation)
-            // per load per byte.
-        }
+        if (size == 0)
+            return;
+        auto it = firstAtOrAfter(seq);
+        panic_if(it == entries.end() || it->seq != seq,
+                 "ByteSeqIndex::remove of unindexed seq");
+        panic_if(it->addr != addr || it->size != size,
+                 "ByteSeqIndex::remove of unindexed byte");
+        entries.erase(it);
         population -= size;
     }
 
@@ -85,17 +85,45 @@ class ByteSeqIndex
     bool
     newestBefore(Addr byte_addr, InstSeqNum before, Ref &out) const
     {
-        auto it = bytes.find(byte_addr);
-        if (it == bytes.end())
-            return false;
-        const ArenaVec<Ref> &v = it->second;
-        for (size_t pos = v.size(); pos-- > 0;) {
-            if (v[pos].seq < before) {
-                out = v[pos];
+        for (auto it = firstAtOrAfter(before); it != entries.begin();) {
+            --it;
+            if (rangeCoversByte(it->addr, it->size, byte_addr)) {
+                out = Ref{it->seq, it->slot};
                 return true;
             }
         }
         return false;
+    }
+
+    /**
+     * newestBefore() for every byte of [addr, addr+size) in one
+     * backward pass: byte i's youngest older entry goes to @p out[i].
+     * @p size is at most max_access_bytes.
+     * @return A mask with bit i set when @p out[i] was filled.
+     */
+    unsigned
+    newestBeforeEach(Addr addr, unsigned size, InstSeqNum before,
+                     Ref *out) const
+    {
+        panic_if(size > max_access_bytes,
+                 "ByteSeqIndex::newestBeforeEach of a %u-byte access",
+                 size);
+        const unsigned all = (1u << size) - 1;
+        unsigned mask = 0;
+        for (auto it = firstAtOrAfter(before);
+             mask != all && it != entries.begin();) {
+            --it;
+            if (!overlaps(*it, addr, size))
+                continue;
+            for (unsigned i = 0; i < size; ++i) {
+                if (!(mask & (1u << i)) &&
+                    rangeCoversByte(it->addr, it->size, addr + i)) {
+                    out[i] = Ref{it->seq, it->slot};
+                    mask |= 1u << i;
+                }
+            }
+        }
+        return mask;
     }
 
     /**
@@ -107,15 +135,14 @@ class ByteSeqIndex
     collectYoungerThan(Addr addr, unsigned size, InstSeqNum after,
                        std::vector<Ref> &out) const
     {
-        for (unsigned i = 0; i < size; ++i) {
-            auto it = bytes.find(addr + i);
-            if (it == bytes.end())
+        for (size_t pos = entries.size();
+             pos > 0 && entries[pos - 1].seq > after; --pos) {
+            const Entry &e = entries[pos - 1];
+            if (!overlaps(e, addr, size))
                 continue;
-            const ArenaVec<Ref> &v = it->second;
-            for (size_t pos = v.size(); pos-- > 0;) {
-                if (v[pos].seq <= after)
-                    break;
-                out.push_back(v[pos]);
+            for (unsigned i = 0; i < size; ++i) {
+                if (rangeCoversByte(e.addr, e.size, addr + i))
+                    out.push_back(Ref{e.seq, e.slot});
             }
         }
     }
@@ -127,26 +154,22 @@ class ByteSeqIndex
     void
     clear()
     {
-        bytes.clear();
+        entries.clear();
         population = 0;
     }
 
     /**
-     * Structural self-check: per-byte lists sorted by seq, population
-     * consistent. @return "" when healthy.
+     * Structural self-check: entries strictly ordered by seq,
+     * population consistent. @return "" when healthy.
      */
     std::string
     selfCheck() const
     {
         size_t n = 0;
-        // Empty per-byte lists are legal: remove() keeps them so hot
-        // bytes don't churn map nodes.
-        for (const auto &[addr, v] : bytes) {
-            for (size_t i = 1; i < v.size(); ++i) {
-                if (v[i - 1].seq >= v[i].seq)
-                    return "per-byte list out of order";
-            }
-            n += v.size();
+        for (size_t i = 0; i < entries.size(); ++i) {
+            if (i > 0 && entries[i - 1].seq >= entries[i].seq)
+                return "entries out of seq order";
+            n += entries[i].size;
         }
         if (n != population)
             return "population count drifted";
@@ -154,12 +177,32 @@ class ByteSeqIndex
     }
 
   private:
-    /**
-     * Arena-backed: both instances (processor loadBytes, store-buffer
-     * dataBytes) live inside a per-run Processor, so every node comes
-     * from and returns to the run arena wholesale.
-     */
-    ArenaMap<Addr, ArenaVec<Ref>> bytes;
+    struct Entry
+    {
+        Addr addr;
+        unsigned size;
+        InstSeqNum seq;
+        size_t slot;
+    };
+
+    /** Does @p e share a byte with [addr, addr+size), modulo 2^64? */
+    static bool
+    overlaps(const Entry &e, Addr addr, unsigned size)
+    {
+        return addr - e.addr < e.size || e.addr - addr < size;
+    }
+
+    /** The first entry with seq >= @p seq (end() if none). */
+    std::vector<Entry>::const_iterator
+    firstAtOrAfter(InstSeqNum seq) const
+    {
+        return std::lower_bound(
+            entries.begin(), entries.end(), seq,
+            [](const Entry &e, InstSeqNum s) { return e.seq < s; });
+    }
+
+    /** Live accesses, strictly ordered by seq. */
+    std::vector<Entry> entries;
     size_t population = 0;
 };
 

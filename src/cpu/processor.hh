@@ -26,7 +26,6 @@
 #include <set>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/byte_index.hh"
 #include "base/sim_error.hh"
 #include "base/slot_bitmap.hh"
@@ -370,11 +369,12 @@ class Processor
     SlotBitmap pendingBits;
 
     /**
-     * Bytes read by in-flight memory-issued loads, by age. Replaces
-     * the full-window sweep of the violation checks: a store that
-     * executes asks for the younger loads that read any byte it
+     * Bytes read by in-flight memory-issued loads, by age: one entry
+     * per such load, so at most a window's worth. A store that
+     * executes asks it for the younger loads that read any byte it
      * writes. Entries reference ROB slots; validated against seq at
-     * visit time (squash truncation leaves dead slots behind).
+     * visit time (a recovery for an older victim can reset or squash
+     * later ones).
      */
     ByteSeqIndex loadBytes;
 
@@ -393,16 +393,17 @@ class Processor
      */
     std::vector<std::vector<ConsumerRef>> consumers;
 
-    /** Scratch for violation-check candidate collection. */
+    /**
+     * Scratch for the violation checks' candidate collection.
+     * replayDependenceSlice runs while checkViolationsNas is still
+     * iterating it, so the slice walk keeps its own.
+     */
     std::vector<ByteSeqIndex::Ref> checkScratch;
 
-    /**
-     * Un-executed stores, by sequence number (the NAS "NO" gate).
-     * Arena-backed: one node churns per store, none outlive the run.
-     */
-    ArenaSet<InstSeqNum> unissuedStores;
+    /** Un-executed stores, by sequence number (the NAS "NO" gate). */
+    std::set<InstSeqNum> unissuedStores;
     /** Un-executed barrier-predicted stores (the STORE gate). */
-    ArenaSet<InstSeqNum> unissuedBarriers;
+    std::set<InstSeqNum> unissuedBarriers;
 
     // ---- fetch state ------------------------------------------------------
     struct FetchedInst

@@ -299,20 +299,22 @@ Processor::assembleLoadBytes(Addr addr, unsigned size,
                              InstSeqNum *byte_sources) const
 {
     // Per byte: the youngest older store with valid data covering it
-    // (one indexed lookup), else architectural memory. When the caller
-    // passes @p byte_sources (size elements), each byte's forwarding
-    // store seq is recorded (0 = memory) — the violation checks test
+    // (one pass over the store buffer's executed stores for all
+    // bytes), else architectural memory. When the caller passes
+    // @p byte_sources (size elements), each byte's forwarding store
+    // seq is recorded (0 = memory) — the violation checks test
     // staleness byte-wise against these.
+    ByteSeqIndex::Ref srcs[ByteSeqIndex::max_access_bytes];
+    unsigned forwarded = sb.forwardingSources(addr, size, load_seq, srcs);
     uint64_t value = 0;
     for (unsigned i = 0; i < size; ++i) {
         Addr byte_addr = addr + i;
-        ByteSeqIndex::Ref src;
-        if (sb.newestDataBefore(byte_addr, load_seq, src)) {
+        if (forwarded & (1u << i)) {
             value |= static_cast<uint64_t>(
-                         sb.slot(src.slot).byteAt(byte_addr))
+                         sb.slot(srcs[i].slot).byteAt(byte_addr))
                      << (8 * i);
             if (byte_sources)
-                byte_sources[i] = src.seq;
+                byte_sources[i] = srcs[i].seq;
         } else {
             value |= static_cast<uint64_t>(funcMem.read8(byte_addr))
                      << (8 * i);
@@ -681,6 +683,9 @@ Processor::replayDependenceSlice(DynInst &victim)
 
     std::vector<InstSeqNum> work{victim.seq};
     std::set<InstSeqNum> slice;
+    // Not checkScratch: the violation check that called us is still
+    // iterating that.
+    std::vector<ByteSeqIndex::Ref> readers;
 
     while (!work.empty()) {
         InstSeqNum seq = work.back();
@@ -722,10 +727,10 @@ Processor::replayDependenceSlice(DynInst &victim)
         if (inst->isStore() && inst->sbSlot >= 0) {
             const SbEntry &se = sb.slot(inst->sbSlot);
             if (se.addrValid && se.dataValid) {
-                checkScratch.clear();
+                readers.clear();
                 loadBytes.collectYoungerThan(se.addr, se.size, seq,
-                                             checkScratch);
-                for (const ByteSeqIndex::Ref &ref : checkScratch) {
+                                             readers);
+                for (const ByteSeqIndex::Ref &ref : readers) {
                     if (!rob.refLive(ref.slot, ref.seq) ||
                         !rob.isMemIssuedLoad(ref.slot)) {
                         continue;

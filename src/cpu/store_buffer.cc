@@ -12,7 +12,7 @@ StoreBuffer::slotLive(size_t slot_idx) const
 }
 
 void
-StoreBuffer::eraseRef(ArenaVec<SlotRef> &v, size_t slot_idx)
+StoreBuffer::eraseRef(std::vector<SlotRef> &v, size_t slot_idx)
 {
     for (size_t i = v.size(); i-- > 0;) {
         if (v[i].slot == slot_idx)
@@ -51,8 +51,10 @@ StoreBuffer::unindexEntry(const SbEntry &entry, size_t slot_idx)
         auto it = bySynonym.find(entry.producerSynonym);
         if (it != bySynonym.end()) {
             eraseRef(it->second, slot_idx);
-            // Keep the list even when empty: the synonym working set
-            // is small and the same producer PC allocates again soon.
+            // Drop emptied lists: the MDPT hands out synonyms for the
+            // whole run, so keeping them would grow with run length.
+            if (it->second.empty())
+                bySynonym.erase(it);
         }
     }
 }
@@ -236,7 +238,7 @@ StoreBuffer::youngestSynonymProducerBefore(Synonym syn,
     if (it == bySynonym.end())
         return nullptr;
     // Allocation order == age order; walk youngest-first.
-    const ArenaVec<SlotRef> &v = it->second;
+    const std::vector<SlotRef> &v = it->second;
     for (size_t i = v.size(); i-- > 0;) {
         if (!refValid(v[i]))
             continue;

@@ -14,8 +14,9 @@
  * StoreBuffer is an *indexed* FIFO: alongside the age-ordered circular
  * queue it maintains
  *   - O(1) seq -> slot and traceIdx -> slot lookup maps,
- *   - a byte-granular ByteSeqIndex over executed store data (the
- *     forwarding lookup: youngest older store writing a byte),
+ *   - a ByteSeqIndex over executed store data (the forwarding lookup:
+ *     per load byte, the youngest older store writing it), which holds
+ *     at most one entry per resident store,
  *   - an age-ordered set of stores whose address is still unknown and
  *     a small list of stores whose posted address is not yet visible
  *     (the address scheduler's ambiguity test),
@@ -26,7 +27,8 @@
  * written through the mutating API below; bookkeeping flags
  * (committed, releasing, released, barrier) may be poked directly via
  * slot(). selfCheck() rebuilds every index from the queue and is run
- * at check level 2.
+ * at check level 2. Every index holds only resident entries, so the
+ * store buffer's memory is bounded by its capacity, not by run length.
  */
 
 #ifndef CWSIM_CPU_STORE_BUFFER_HH
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "base/addr_range.hh"
-#include "base/arena.hh"
 #include "base/byte_index.hh"
 #include "base/circular_queue.hh"
 #include "base/types.hh"
@@ -179,14 +180,16 @@ class StoreBuffer
                             Tick now);
 
     /**
-     * Forwarding: the youngest store older than @p before with valid
-     * data covering @p byte_addr. @return true and fill @p out.
+     * Forwarding: per byte i of [addr, addr+size), the youngest store
+     * older than @p before with valid data covering it, in @p out[i]
+     * (one pass over the executed stores).
+     * @return A mask with bit i set when @p out[i] was filled.
      */
-    bool
-    newestDataBefore(Addr byte_addr, InstSeqNum before,
-                     ByteSeqIndex::Ref &out) const
+    unsigned
+    forwardingSources(Addr addr, unsigned size, InstSeqNum before,
+                      ByteSeqIndex::Ref *out) const
     {
-        return dataBytes.newestBefore(byte_addr, before, out);
+        return dataBytes.newestBeforeEach(addr, size, before, out);
     }
 
     /**
@@ -219,34 +222,31 @@ class StoreBuffer
 
     bool slotLive(size_t slot_idx) const;
     void unindexEntry(const SbEntry &entry, size_t slot_idx);
-    static void eraseRef(ArenaVec<SlotRef> &v, size_t slot_idx);
+    static void eraseRef(std::vector<SlotRef> &v, size_t slot_idx);
 
     CircularQueue<SbEntry> q;
 
-    // All index containers draw from the per-run arena: their nodes
-    // churn once per store, never outlive the Processor, and are
-    // reclaimed wholesale between runs.
-    ArenaMap<InstSeqNum, size_t> bySeq;
-    ArenaMap<TraceIndex, size_t> byTrace;
+    std::unordered_map<InstSeqNum, size_t> bySeq;
+    std::unordered_map<TraceIndex, size_t> byTrace;
 
     /** Bytes of entries with addrValid && dataValid. */
     ByteSeqIndex dataBytes;
 
     /** Seqs of resident entries with no posted address, age-ordered. */
-    ArenaSet<InstSeqNum> addrUnposted;
+    std::set<InstSeqNum> addrUnposted;
 
     /**
      * Entries whose posted address is not visible yet (addrVisibleAt
      * in the future when posted). Compacted lazily as they become
      * visible or die; bounded by stores posted within asLatency.
      */
-    ArenaVec<SlotRef> addrInFlight;
+    std::vector<SlotRef> addrInFlight;
 
     /** Entries with a posted address awaiting data (AS two-phase). */
-    ArenaVec<SlotRef> awaitingData;
+    std::vector<SlotRef> awaitingData;
 
     /** SYNC: producer entries per synonym, in allocation (age) order. */
-    ArenaMap<Synonym, ArenaVec<SlotRef>> bySynonym;
+    std::unordered_map<Synonym, std::vector<SlotRef>> bySynonym;
 };
 
 } // namespace cwsim

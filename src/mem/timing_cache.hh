@@ -16,9 +16,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/types.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -117,7 +117,7 @@ class TimingCache : public MemLevel
 
     struct Mshr
     {
-        ArenaVec<MemDoneFn> targets;
+        std::vector<MemDoneFn> targets;
         unsigned bank = 0;
         bool write = false;
     };
@@ -149,13 +149,8 @@ class TimingCache : public MemLevel
     std::vector<Line> lines;        ///< [bank][set][way] flattened.
     std::vector<Tick> bankBusyUntil;
     std::vector<unsigned> primaryPerBank;
-    /**
-     * Outstanding misses. Arena-backed: every miss allocates an MSHR
-     * node and a target list and frees them on fill — with the
-     * per-run bump arena that churn is a pointer bump, reclaimed
-     * wholesale when the harness resets between runs.
-     */
-    ArenaMap<Addr, Mshr> mshrs;
+    /** Outstanding misses, by block; erased on fill. */
+    std::unordered_map<Addr, Mshr> mshrs;
     uint64_t useCounter;
 };
 

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
+#include <map>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "base/addr_range.hh"
 #include "base/bitfield.hh"
@@ -298,6 +302,195 @@ TEST(ByteSeqIndexTest, AddRemoveLookup)
     idx.remove(0x102, 4, 20);
     EXPECT_TRUE(idx.empty());
     EXPECT_EQ(idx.selfCheck(), "");
+}
+
+/**
+ * The per-byte model ByteSeqIndex must agree with: for every byte
+ * address `addr + i` (modulo 2^64) an access registered, its entries
+ * in seq order.
+ */
+class PerByteReference
+{
+  public:
+    using Ref = ByteSeqIndex::Ref;
+
+    void
+    add(Addr addr, unsigned size, InstSeqNum seq, size_t slot)
+    {
+        for (unsigned i = 0; i < size; ++i) {
+            std::vector<Ref> &v = bytes[addr + i];
+            auto pos = std::find_if(v.begin(), v.end(), [&](const Ref &r) {
+                return r.seq > seq;
+            });
+            v.insert(pos, Ref{seq, slot});
+        }
+        population += size;
+    }
+
+    void
+    remove(Addr addr, unsigned size, InstSeqNum seq)
+    {
+        for (unsigned i = 0; i < size; ++i) {
+            std::vector<Ref> &v = bytes.at(addr + i);
+            auto pos = std::find_if(v.begin(), v.end(), [&](const Ref &r) {
+                return r.seq == seq;
+            });
+            ASSERT_NE(pos, v.end());
+            v.erase(pos);
+            if (v.empty())
+                bytes.erase(addr + i);
+        }
+        population -= size;
+    }
+
+    bool
+    newestBefore(Addr byte_addr, InstSeqNum before, Ref &out) const
+    {
+        auto it = bytes.find(byte_addr);
+        if (it == bytes.end())
+            return false;
+        for (auto r = it->second.rbegin(); r != it->second.rend(); ++r) {
+            if (r->seq < before) {
+                out = *r;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::vector<Ref>
+    collectYoungerThan(Addr addr, unsigned size, InstSeqNum after) const
+    {
+        std::vector<Ref> out;
+        for (unsigned i = 0; i < size; ++i) {
+            auto it = bytes.find(addr + i);
+            if (it == bytes.end())
+                continue;
+            for (const Ref &r : it->second) {
+                if (r.seq > after)
+                    out.push_back(r);
+            }
+        }
+        return out;
+    }
+
+    size_t population = 0;
+
+  private:
+    std::map<Addr, std::vector<Ref>> bytes;
+};
+
+std::vector<ByteSeqIndex::Ref>
+sortedRefs(std::vector<ByteSeqIndex::Ref> v)
+{
+    std::sort(v.begin(), v.end(),
+              [](const ByteSeqIndex::Ref &a, const ByteSeqIndex::Ref &b) {
+                  return a.seq != b.seq ? a.seq < b.seq : a.slot < b.slot;
+              });
+    return v;
+}
+
+TEST(ByteSeqIndexTest, MatchesPerByteReferenceUnderRandomChurn)
+{
+    struct Live
+    {
+        Addr addr;
+        unsigned size;
+        InstSeqNum seq;
+    };
+    const unsigned sizes[] = {1, 2, 3, 4, 5, 8};
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Random rng(seed);
+        // Two 40-byte neighbourhoods, one straddling the top of the
+        // address space, so unaligned accesses overlap partially and
+        // at every offset.
+        auto random_addr = [&rng]() {
+            Addr off = rng.below(40);
+            return rng.chance(0.8) ? Addr(0x1000) + off
+                                   : ~Addr(0) - 19 + off;
+        };
+        ByteSeqIndex idx;
+        PerByteReference ref;
+        std::vector<Live> live;
+        std::set<InstSeqNum> used;
+        InstSeqNum next_seq = 100;
+
+        for (int step = 0; step < 300; ++step) {
+            if (!live.empty() &&
+                (live.size() >= 40 || rng.chance(0.4))) {
+                size_t k = rng.below(live.size());
+                Live l = live[k];
+                live.erase(live.begin() + k);
+                idx.remove(l.addr, l.size, l.seq);
+                ref.remove(l.addr, l.size, l.seq);
+            } else {
+                // Mostly in age order; sometimes an older, unused seq
+                // (an out-of-order add).
+                InstSeqNum seq = next_seq += 1 + rng.below(3);
+                if (rng.chance(0.3)) {
+                    InstSeqNum older = 1 + rng.below(next_seq - 1);
+                    if (!used.count(older))
+                        seq = older;
+                }
+                used.insert(seq);
+                unsigned size = sizes[rng.below(std::size(sizes))];
+                Addr addr = random_addr();
+                size_t slot = rng.below(128);
+                idx.add(addr, size, seq, slot);
+                ref.add(addr, size, seq, slot);
+                live.push_back(Live{addr, size, seq});
+            }
+            ASSERT_EQ(idx.selfCheck(), "") << "step " << step;
+            ASSERT_EQ(idx.size(), ref.population) << "step " << step;
+            ASSERT_EQ(idx.empty(), ref.population == 0);
+
+            for (int q = 0; q < 8; ++q) {
+                Addr addr = random_addr();
+                unsigned size = sizes[rng.below(std::size(sizes))];
+                InstSeqNum bound = rng.below(next_seq + 2);
+                SCOPED_TRACE(testing::Message()
+                             << "step " << step << " query 0x" << std::hex
+                             << addr << std::dec << "+" << size
+                             << " bound " << bound);
+
+                ByteSeqIndex::Ref each[ByteSeqIndex::max_access_bytes];
+                unsigned mask = idx.newestBeforeEach(addr, size, bound,
+                                                     each);
+                for (unsigned i = 0; i < size; ++i) {
+                    ByteSeqIndex::Ref want, got;
+                    bool has = ref.newestBefore(addr + i, bound, want);
+                    ASSERT_EQ(idx.newestBefore(addr + i, bound, got), has);
+                    ASSERT_EQ(bool(mask & (1u << i)), has) << "byte " << i;
+                    if (!has)
+                        continue;
+                    EXPECT_EQ(got.seq, want.seq);
+                    EXPECT_EQ(got.slot, want.slot);
+                    EXPECT_EQ(each[i].seq, want.seq);
+                    EXPECT_EQ(each[i].slot, want.slot);
+                }
+                EXPECT_EQ(mask >> size, 0u);
+
+                std::vector<ByteSeqIndex::Ref> got;
+                idx.collectYoungerThan(addr, size, bound, got);
+                std::vector<ByteSeqIndex::Ref> want = sortedRefs(
+                    ref.collectYoungerThan(addr, size, bound));
+                got = sortedRefs(got);
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].seq, want[i].seq);
+                    EXPECT_EQ(got[i].slot, want[i].slot);
+                }
+            }
+        }
+        while (!live.empty()) {
+            idx.remove(live.back().addr, live.back().size,
+                       live.back().seq);
+            live.pop_back();
+        }
+        EXPECT_TRUE(idx.empty());
+        EXPECT_EQ(idx.selfCheck(), "");
+    }
 }
 
 TEST(StrTest, Strfmt)

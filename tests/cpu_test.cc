@@ -7,7 +7,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <memory>
 #include <vector>
 
 #include "cpu/processor.hh"
@@ -16,6 +18,7 @@
 #include "mdp/oracle.hh"
 #include "mem/functional_memory.hh"
 #include "sim/config.hh"
+#include "workloads/workload.hh"
 
 namespace cwsim
 {
@@ -740,6 +743,54 @@ TEST(PipelineTest, StoreBufferPressureStallsButStaysCorrect)
     ASSERT_TRUE(proc.halted());
     EXPECT_EQ(proc.memory().fingerprint(), golden.memFingerprint);
     EXPECT_EQ(proc.procStats().committedStores.value(), 400u);
+}
+
+/**
+ * Heap bytes in use per glibc: arena chunks plus mmapped ones. Sanitizer
+ * runtimes replace malloc and may report zeros here, which makes the
+ * footprint test below vacuous under those builds only.
+ */
+size_t
+heapInUse()
+{
+    struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+}
+
+TEST(ProcessorFootprint, HeapDoesNotGrowWithRunLength)
+{
+    // 099.go's board and influence map are all written within the
+    // first 20k instructions (the page counts below pin that), so any
+    // growth between the two run lengths is the timing core's own.
+    Workload w = workloads::build("099.go", 250'000);
+    const std::pair<LsqModel, SpecPolicy> configs[] = {
+        {LsqModel::NAS, SpecPolicy::SpecSync},
+        {LsqModel::AS, SpecPolicy::Naive},
+    };
+    for (const auto &[model, policy] : configs) {
+        size_t held[2] = {};
+        size_t pages[2] = {};
+        int k = 0;
+        for (uint64_t insts : {20'000u, 200'000u}) {
+            SimConfig cfg = withPolicy(makeW128Config(), model, policy);
+            cfg.maxInsts = insts;
+            size_t before = heapInUse();
+            auto proc = std::make_unique<Processor>(cfg, w.program);
+            proc->run();
+            ASSERT_GE(proc->totalCommits(), insts);
+            ASSERT_FALSE(proc->halted());
+            size_t after = heapInUse();
+            held[k] = after > before ? after - before : 0;
+            pages[k++] = proc->memory().pageCount();
+        }
+        SCOPED_TRACE(testing::Message() << configName(model, policy)
+                                        << ": held " << held[0] << " / "
+                                        << held[1] << " bytes");
+        EXPECT_EQ(pages[0], pages[1]);
+        EXPECT_LT(held[1] > held[0] ? held[1] - held[0]
+                                    : held[0] - held[1],
+                  256u * 1024);
+    }
 }
 
 } // anonymous namespace
