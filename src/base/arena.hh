@@ -7,7 +7,7 @@
  * The simulator itself no longer allocates from it. Its per-run
  * containers are plain std:: containers sized by the window they
  * track, because a no-op deallocate made the arena grow with run
- * length instead (see DESIGN.md §15). The class and runArena() remain
+ * length instead (see DESIGN.md §13). The class and runArena() remain
  * only for the benchmark under perfbench/, which still resets
  * it.
  *

@@ -8,9 +8,8 @@
  * truncated line yields false rather than garbage, so a corrupted
  * file degrades to a miss/skip instead of an abort.
  *
- * Grew up as sweep/jsonl; hoisted into base/ once the dependence
- * profiler (obs/depprof, mdp/dep_profile) needed the same wire
- * format below the sweep layer. sweep/jsonl.hh forwards here.
+ * It lives in base/ because the dependence profiler (obs/depprof,
+ * mdp/dep_profile) writes the same wire format below the sweep layer.
  */
 
 #ifndef CWSIM_BASE_JSONL_HH

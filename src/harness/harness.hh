@@ -126,11 +126,10 @@ struct RunResult
     // from determinism comparisons).
     double wallMs = 0;     ///< Wall-clock time of this run.
     /**
-     * Host-side time the run spent waiting to execute (scheduler
-     * queue plus isolate-pool queue), as opposed to wallMs which is
-     * the execute time itself. Always 0 for cache hits, which never
-     * queue — the split is what makes cached vs. fresh runs
-     * distinguishable in reports.
+     * Host-side time the run spent waiting to execute (the --isolate
+     * pool's queue, enqueue to final fork), as opposed to wallMs
+     * which is the execute time itself. 0 for runs outside --isolate;
+     * a cache hit carries the value stored with its record.
      */
     double queueMs = 0;
     bool cacheHit = false; ///< Served from the sweep's run cache.
@@ -275,7 +274,7 @@ class Runner
  * (workload, config) so parallel sweeps summarize deterministically,
  * with the injected-host-fault tally split out. Pure data — rendering
  * (the FAILED RUNS table) lives in sweep::reportFailures() so this
- * library stays printf-free and a daemon can link it headlessly.
+ * library stays printf-free.
  */
 struct FailureSummary
 {

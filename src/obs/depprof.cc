@@ -1,7 +1,10 @@
 #include "obs/depprof.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
 
 #include "base/jsonl.hh"
@@ -423,25 +426,34 @@ DepProfManager::writeRun(const DepProfile &prof)
     std::vector<std::string> lines;
     prof.serialize(lines);
 
-    std::lock_guard<std::mutex> lock(writeMutex);
-    if (outPath.empty())
-        return;
-    std::FILE *out = std::fopen(outPath.c_str(), "a");
-    if (!out) {
-        warn("depprof: cannot append profile to %s", outPath.c_str());
-        return;
-    }
-    // One block per run, appended as a single write: the mutex covers
-    // in-process sweep workers, and a lone O_APPEND write covers
-    // isolated (forked) workers sharing the file — either way the
-    // validator never sees interleaved lines.
     std::string block;
     for (const std::string &line : lines) {
         block += line;
         block += '\n';
     }
-    std::fwrite(block.data(), 1, block.size(), out);
-    std::fclose(out);
+
+    std::lock_guard<std::mutex> lock(writeMutex);
+    if (outPath.empty())
+        return;
+    int fd = ::open(outPath.c_str(),
+                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        warn("depprof: cannot append profile to %s", outPath.c_str());
+        return;
+    }
+    // One block per run, appended as a single write(2): the mutex
+    // covers in-process sweep workers, and O_APPEND covers isolated
+    // (forked) workers sharing the file — either way the validator
+    // never sees interleaved lines. Not stdio: fwrite splits a block
+    // larger than its buffer into several writes, and another
+    // process's block can land between them.
+    ssize_t n;
+    do {
+        n = ::write(fd, block.data(), block.size());
+    } while (n < 0 && errno == EINTR);
+    if (n != static_cast<ssize_t>(block.size()))
+        warn("depprof: short append to %s", outPath.c_str());
+    ::close(fd);
 }
 
 } // namespace obs

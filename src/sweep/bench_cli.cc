@@ -152,9 +152,9 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
     opts.memLimitMb = envUint64("CWSIM_MEM_LIMIT", 0, 0);
     opts.retries = static_cast<unsigned>(
         envUint64("CWSIM_RETRIES", 0, 1));
-    // A shared corpus (ROADMAP item 1): point every bench and the
-    // cwsimd daemon at one cache directory without threading a flag
-    // through each invocation. --cache-dir still overrides.
+    // A shared corpus: point every bench at one cache directory
+    // without threading a flag through each invocation. --cache-dir
+    // still overrides.
     if (const char *dir = std::getenv("CWSIM_CACHE_DIR");
         dir && *dir) {
         opts.cacheDir = dir;

@@ -14,8 +14,8 @@
  *                   run to PATH — machine-readable trajectory output
  *   --no-cache      ignore and don't write the on-disk run cache
  *   --cache-dir D   run-cache directory (default: CWSIM_CACHE_DIR
- *                   env, else .cwsim-cache) — point every bench and
- *                   the cwsimd daemon here to share one run corpus
+ *                   env, else .cwsim-cache) — point every bench
+ *                   here to share one run corpus
  *   --trace=FLAGS   enable trace flags ("MDP,Recovery" or "all"; see
  *                   src/obs/trace.hh). Simulation results are
  *                   unaffected; output goes to stderr by default

@@ -1,6 +1,7 @@
 #include "sweep/isolate.hh"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -12,18 +13,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <deque>
 #include <limits>
 #include <map>
 #include <new>
 #include <thread>
 
+#include "base/jsonl.hh"
 #include "base/logging.hh"
 #include "base/sim_error.hh"
 #include "base/str.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 
 namespace cwsim
@@ -41,13 +40,6 @@ using harness::RunResult;
 // Reserved child exit codes. Anything else nonzero is a crash.
 constexpr int exit_oom = 33;      ///< operator new failed (RLIMIT_AS).
 constexpr int exit_uncaught = 34; ///< non-SimError exception escaped.
-
-/**
- * Child-side prefix marking an interval-sample line on the result
- * pipe, so the parent can split samples from the final run record
- * without guessing.
- */
-constexpr const char *interval_prefix = "#interval ";
 
 const char *
 signalName(int sig)
@@ -81,10 +73,29 @@ writePipeFully(int fd, const char *data, size_t len)
     return true;
 }
 
+/** One run to execute in a sandboxed child. */
+struct Task
+{
+    /** Caller's correlation key, echoed back in Done. */
+    size_t token = 0;
+    /** Runner owning the (pre-warmed) workload/prepass caches. */
+    harness::Runner *runner = nullptr;
+    SweepJob job;
+    uint64_t fp = 0;
+};
+
+/** A finished task: the final result after any retries. */
+struct Done
+{
+    size_t token = 0;
+    /** Carries the pool queue wait (enqueue → final fork) in
+     * queueMs. */
+    RunResult result;
+};
+
 /** Child-side: run the simulation and stream the record back. */
 [[noreturn]] void
-childMain(const IsolatePool::Task &task, const IsolateOptions &opts,
-          int wfd)
+childMain(const Task &task, const IsolateOptions &opts, int wfd)
 {
     // Allocation failure (RLIMIT_AS, alloc storms) exits with the
     // reserved OOM code instead of an unclassifiable abort. The
@@ -106,17 +117,6 @@ childMain(const IsolatePool::Task &task, const IsolateOptions &opts,
         ::setrlimit(RLIMIT_CPU, &rl);
     }
 
-    // Per-run interval sampling into a child-private temp file; the
-    // lines are streamed back (prefixed) once the run's sampler has
-    // closed it. Only this forked child sees the global reconfig.
-    std::string interval_path;
-    if (task.intervalCycles > 0) {
-        interval_path = strfmt("%s/cwsim-iv-%d.jsonl", P_tmpdir,
-                               static_cast<int>(::getpid()));
-        obs::TraceManager::instance().setInterval(task.intervalCycles,
-                                                  interval_path);
-    }
-
     RunResult r;
     try {
         // SimErrors are caught inside run() (fail-soft) and travel in
@@ -126,19 +126,6 @@ childMain(const IsolatePool::Task &task, const IsolateOptions &opts,
         _exit(exit_oom);
     } catch (...) {
         _exit(exit_uncaught);
-    }
-
-    if (!interval_path.empty()) {
-        std::ifstream in(interval_path);
-        std::string sample;
-        while (in && std::getline(in, sample)) {
-            if (sample.empty())
-                continue;
-            std::string line = interval_prefix + sample + "\n";
-            if (!writePipeFully(wfd, line.data(), line.size()))
-                _exit(exit_uncaught);
-        }
-        ::unlink(interval_path.c_str());
     }
 
     std::string line = runRecordLine(r, task.fp, task.runner->scale());
@@ -153,34 +140,7 @@ struct Classified
     FailKind kind = FailKind::None;
     std::string detail;
     RunResult parsed; ///< Valid only when kind is None or SimError.
-    std::vector<std::string> intervalLines;
 };
-
-/**
- * Split a finished child's pipe bytes into interval-sample lines and
- * the run record (the first complete non-interval line).
- */
-void
-splitChildOutput(const std::string &buf, std::string &record,
-                 std::vector<std::string> &intervals)
-{
-    size_t pos = 0;
-    const std::string prefix = interval_prefix;
-    while (pos < buf.size()) {
-        size_t nl = buf.find('\n', pos);
-        std::string line = buf.substr(
-            pos, nl == std::string::npos ? std::string::npos
-                                         : nl - pos);
-        pos = nl == std::string::npos ? buf.size() : nl + 1;
-        if (line.empty())
-            continue;
-        if (startsWith(line, prefix)) {
-            intervals.push_back(line.substr(prefix.size()));
-        } else if (record.empty()) {
-            record = line;
-        }
-    }
-}
 
 Classified
 classifyExit(const std::string &buf, bool killed, int status,
@@ -190,8 +150,7 @@ classifyExit(const std::string &buf, bool killed, int status,
     if (WIFEXITED(status)) {
         int code = WEXITSTATUS(status);
         if (code == 0) {
-            std::string record;
-            splitChildOutput(buf, record, out.intervalLines);
+            std::string record = buf.substr(0, buf.find('\n'));
             std::map<std::string, std::string> fields;
             if (parseFlatJson(record, fields) &&
                 runRecordParse(fields, out.parsed)) {
@@ -257,7 +216,7 @@ retryable(FailKind kind)
 
 /** The final RunResult for a task, names and taxonomy filled. */
 RunResult
-finalizeResult(const IsolatePool::Task &task, const Classified &cls,
+finalizeResult(const Task &task, const Classified &cls,
                unsigned attempts)
 {
     if (cls.kind == FailKind::None || cls.kind == FailKind::SimError) {
@@ -291,59 +250,90 @@ elapsedMs(Clock::time_point from, Clock::time_point to)
         .count();
 }
 
-} // anonymous namespace
-
-IsolatePool::IsolatePool(IsolateOptions opts)
-    : opts(opts), slotBusy(std::max(1u, opts.slots), 0)
+/**
+ * A non-blocking pool of isolated run slots, driven by runIsolated()'s
+ * poll(2) loop. Lifecycle of a task: enqueue() → pump() forks it into
+ * a free slot → the poll wakes on its pipe → service() drains, reaps,
+ * classifies, retries host-level failures, and returns it as a Done
+ * with a fully-finalized RunResult (names from the spec, failure
+ * taxonomy filled).
+ */
+class IsolatePool
 {
-}
+  public:
+    explicit IsolatePool(IsolateOptions opts) : opts(opts) {}
+    /** Kills and reaps any children still live (abandoned work). */
+    ~IsolatePool();
 
-void
-IsolatePool::setMetrics(obs::MetricsRegistry *registry)
-{
-    if (!registry)
-        return;
-    registry
-        ->gauge("cwsim_pool_slots",
-                "Configured worker slots (concurrent child processes).")
-        .set(std::max(1u, opts.slots));
-    busyGauge = &registry->gauge(
-        "cwsim_pool_busy", "Worker slots currently running a child.");
-    forksCounter = &registry->counter(
-        "cwsim_pool_forks_total", "Child processes forked (attempts).");
-    retriesCounter = &registry->counter(
-        "cwsim_pool_retries_total",
-        "Host-level failures requeued for another attempt.");
-    execMsCounter = &registry->counter(
-        "cwsim_pool_exec_ms_total",
-        "Total milliseconds worker slots spent occupied; divide by "
-        "uptime times slots for utilization.");
-    execHistogram = &registry->histogram(
-        "cwsim_pool_exec_seconds",
-        "Per-attempt execute time, fork to reap, seconds.",
-        obs::Histogram::latencySeconds());
-}
+    IsolatePool(const IsolatePool &) = delete;
+    IsolatePool &operator=(const IsolatePool &) = delete;
 
-unsigned
-IsolatePool::claimSlot()
-{
-    for (size_t i = 0; i < slotBusy.size(); i++) {
-        if (!slotBusy[i]) {
-            slotBusy[i] = 1;
-            return static_cast<unsigned>(i);
-        }
-    }
-    // pump() never forks past opts.slots, so this is unreachable; be
-    // lenient rather than panic in release builds.
-    return 0;
-}
+    /** Queue a task; it forks when a slot frees up (see pump()). */
+    void enqueue(Task task);
 
-void
-IsolatePool::releaseSlot(unsigned slot)
-{
-    if (slot < slotBusy.size())
-        slotBusy[slot] = 0;
-}
+    /** No task left that service() has not returned. */
+    bool idle() const { return queue.empty() && live.empty(); }
+
+    /** Fork queued tasks into free slots (respecting retry backoff). */
+    void pump();
+
+    /** Append one POLLIN pollfd per live child pipe to @p out. */
+    void addPollFds(std::vector<struct pollfd> &out) const;
+
+    /**
+     * Milliseconds until the pool next needs attention regardless of
+     * fd readiness (a wall-clock deadline or a retry backoff expiring),
+     * or -1 when it can wait forever.
+     */
+    int timeoutMs() const;
+
+    /**
+     * One non-blocking maintenance pass: drain readable child pipes,
+     * SIGKILL deadline overruns, reap + classify exited children,
+     * requeue retryable failures, fork queued work into free slots.
+     * Returns every task that reached a final result.
+     */
+    std::vector<Done> service();
+
+  private:
+    struct Attempt
+    {
+        Task task;
+        unsigned attempt = 0; ///< 0-based attempt number.
+        /** Earliest fork time (retry backoff). */
+        Clock::time_point notBefore;
+        /** First enqueue() time; survives retries so queueMs measures
+         * the task's whole wait, not the last backoff's. */
+        Clock::time_point enqueuedAt;
+    };
+
+    struct Child
+    {
+        Task task;
+        pid_t pid = -1;
+        int fd = -1;
+        unsigned attempt = 0;
+        bool killed = false; ///< We delivered SIGKILL (wall timeout).
+        bool eof = false;
+        std::string buf; ///< Record bytes read so far.
+        Clock::time_point deadline;
+        bool hasDeadline = false;
+        Clock::time_point spawnedAt;
+        Clock::time_point enqueuedAt;
+    };
+
+    void spawn(const Attempt &a);
+    void drainPipes();
+    void enforceDeadlines();
+    void reap(std::vector<Done> &out);
+
+    IsolateOptions opts;
+    std::deque<Attempt> queue;
+    std::vector<Child> live;
+    /** Results finished synchronously (in-process fallback when
+     * pipe2/fork fails), held for the next service() call. */
+    std::vector<Done> fallbackDone;
+};
 
 IsolatePool::~IsolatePool()
 {
@@ -367,32 +357,27 @@ IsolatePool::enqueue(Task task)
     queue.push_back({std::move(task), 0, now, now});
 }
 
-bool
-IsolatePool::spawn(const Attempt &a, std::vector<Done> &out)
+void
+IsolatePool::spawn(const Attempt &a)
 {
     const Task &task = a.task;
+    // The in-process fallback finishes synchronously; the next
+    // service() call returns it.
     auto runInProcess = [&]() {
         Done d;
         d.token = task.token;
-        d.queueMs = elapsedMs(a.enqueuedAt, Clock::now());
-        Clock::time_point t0 = Clock::now();
+        double queueMs = elapsedMs(a.enqueuedAt, Clock::now());
         d.result = task.runner->run(task.job.workload,
                                     task.job.config);
-        d.execMs = elapsedMs(t0, Clock::now());
-        d.result.queueMs = d.queueMs;
-        d.attempts = a.attempt + 1;
-        if (execHistogram)
-            execHistogram->observe(d.execMs / 1000.0);
-        if (execMsCounter)
-            execMsCounter->inc(static_cast<uint64_t>(d.execMs));
-        out.push_back(std::move(d));
+        d.result.queueMs = queueMs;
+        fallbackDone.push_back(std::move(d));
     };
     int fds[2];
     if (::pipe2(fds, O_CLOEXEC) < 0) {
         warn("isolate: pipe2 failed (%s); running %s in-process",
              std::strerror(errno), task.job.workload.c_str());
         runInProcess();
-        return false;
+        return;
     }
     // The child _exit()s, so any bytes sitting in stdio buffers
     // would otherwise be flushed by both processes.
@@ -405,7 +390,7 @@ IsolatePool::spawn(const Attempt &a, std::vector<Done> &out)
         warn("isolate: fork failed (%s); running %s in-process",
              std::strerror(errno), task.job.workload.c_str());
         runInProcess();
-        return false;
+        return;
     }
     if (pid == 0) {
         ::close(fds[0]);
@@ -419,7 +404,6 @@ IsolatePool::spawn(const Attempt &a, std::vector<Done> &out)
     c.pid = pid;
     c.fd = fds[0];
     c.attempt = a.attempt;
-    c.slot = claimSlot();
     c.spawnedAt = Clock::now();
     c.enqueuedAt = a.enqueuedAt;
     if (opts.timeoutSec > 0) {
@@ -429,42 +413,29 @@ IsolatePool::spawn(const Attempt &a, std::vector<Done> &out)
         c.hasDeadline = true;
     }
     live.push_back(std::move(c));
-    if (forksCounter)
-        forksCounter->inc();
-    if (busyGauge)
-        busyGauge->set(static_cast<double>(live.size()));
-    return true;
 }
 
 void
 IsolatePool::pump()
 {
-    // This overload exists for callers that want forking decoupled
-    // from result collection; service() pumps too.
     unsigned slots = std::max(1u, opts.slots);
     Clock::time_point now = Clock::now();
-    std::vector<Done> stray;
     for (auto it = queue.begin();
          it != queue.end() && live.size() < slots;) {
         if (it->notBefore <= now) {
-            spawn(*it, stray);
+            spawn(*it);
             it = queue.erase(it);
         } else {
             ++it;
         }
     }
-    // In-process fallbacks (pipe/fork failure) finished synchronously;
-    // hold them so the next service() returns them.
-    for (Done &d : stray)
-        fallbackDone.push_back(std::move(d));
 }
 
-size_t
+void
 IsolatePool::addPollFds(std::vector<struct pollfd> &out) const
 {
     for (const Child &c : live)
         out.push_back({c.fd, POLLIN, 0});
-    return live.size();
 }
 
 int
@@ -539,22 +510,12 @@ IsolatePool::reap(std::vector<Done> &out)
         Child c = std::move(live[k]);
         live.erase(live.begin() + k);
         ::close(c.fd);
-        releaseSlot(c.slot);
         int status = 0;
         pid_t w;
         do {
             w = ::waitpid(c.pid, &status, 0);
         } while (w < 0 && errno == EINTR);
         Classified cls = classifyExit(c.buf, c.killed, status, opts);
-
-        double execMs = elapsedMs(c.spawnedAt, Clock::now());
-        if (busyGauge)
-            busyGauge->set(static_cast<double>(live.size()));
-        if (execHistogram)
-            execHistogram->observe(execMs / 1000.0);
-        if (execMsCounter)
-            execMsCounter->inc(static_cast<uint64_t>(execMs));
-
         if (retryable(cls.kind) && c.attempt < opts.retries) {
             warn("isolate: %s under %s died (%s, attempt %u/%u); "
                  "retrying",
@@ -562,8 +523,6 @@ IsolatePool::reap(std::vector<Done> &out)
                  c.task.job.config.name().c_str(),
                  cls.detail.c_str(), c.attempt + 1,
                  opts.retries + 1);
-            if (retriesCounter)
-                retriesCounter->inc();
             // Exponential backoff so a thrashing host gets air.
             auto backoff =
                 std::chrono::milliseconds(100u << c.attempt);
@@ -573,18 +532,13 @@ IsolatePool::reap(std::vector<Done> &out)
             Done d;
             d.token = c.task.token;
             d.result = finalizeResult(c.task, cls, c.attempt + 1);
-            d.intervalLines = std::move(cls.intervalLines);
-            d.attempts = c.attempt + 1;
-            d.slot = c.slot;
-            d.queueMs = elapsedMs(c.enqueuedAt, c.spawnedAt);
-            d.execMs = execMs;
-            d.result.queueMs = d.queueMs;
+            d.result.queueMs = elapsedMs(c.enqueuedAt, c.spawnedAt);
             out.push_back(std::move(d));
         }
     }
 }
 
-std::vector<IsolatePool::Done>
+std::vector<Done>
 IsolatePool::service()
 {
     std::vector<Done> out;
@@ -601,6 +555,8 @@ IsolatePool::service()
     fallbackDone.clear();
     return out;
 }
+
+} // anonymous namespace
 
 void
 runIsolated(harness::Runner &runner,
@@ -635,7 +591,7 @@ runIsolated(harness::Runner &runner,
 
     IsolatePool pool(opts);
     for (size_t i : pending) {
-        IsolatePool::Task t;
+        Task t;
         t.token = i;
         t.runner = &runner;
         t.job = jobs[i];
@@ -659,7 +615,7 @@ runIsolated(harness::Runner &runner,
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(timeout));
         }
-        for (IsolatePool::Done &d : pool.service())
+        for (Done &d : pool.service())
             results[d.token] = std::move(d.result);
     }
 }

@@ -1,7 +1,6 @@
 /**
  * @file
- * The sandboxed run executor behind the sweep engine's --isolate mode
- * and the cwsimd daemon's worker slots.
+ * The sandboxed run executor behind the sweep engine's --isolate mode.
  *
  * Each pending run executes in a forked child process: the child runs
  * the timing simulation through the ordinary fail-soft Runner, streams
@@ -25,34 +24,16 @@
  *
  * Host-level failure classes (everything but sim_error) get bounded
  * retries with exponential backoff; a SimError is a deterministic
- * property of the run and is never retried.
- *
- * Two drivers share the machinery:
- *
- *   - runIsolated(): the batch executor the SweepEngine calls — feed
- *     it a pending set, it blocks until every slot-scheduled run has a
- *     final result. Results land in spec-order slots, so a sweep is
- *     bit-identical at any slot count, and the surviving runs of a
- *     fault-storm are bit-identical to a clean serial sweep.
- *
- *   - IsolatePool: the incremental form the cwsimd daemon drives from
- *     its own poll loop. The caller enqueues tasks, merges the pool's
- *     child-pipe fds into its poll set (addPollFds/timeoutMs), and
- *     collects finished runs from service() as they land — the pool
- *     never blocks, so one event loop can multiplex client sockets
- *     and worker slots.
+ * property of the run and is never retried. Results land in
+ * spec-order slots, so a sweep is bit-identical at any slot count,
+ * and the surviving runs of a fault-storm are bit-identical to a
+ * clean serial sweep.
  */
 
 #ifndef CWSIM_SWEEP_ISOLATE_HH
 #define CWSIM_SWEEP_ISOLATE_HH
 
-#include <poll.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <string>
 #include <vector>
 
 #include "harness/harness.hh"
@@ -60,15 +41,6 @@
 
 namespace cwsim
 {
-
-namespace obs
-{
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
-} // namespace obs
-
 namespace sweep
 {
 
@@ -83,174 +55,6 @@ struct IsolateOptions
     /** Extra attempts for host-level (crash/timeout/oom/protocol)
      * failures; SimErrors are deterministic and never retried. */
     unsigned retries = 1;
-};
-
-/**
- * A non-blocking pool of isolated run slots, designed to be one input
- * of a larger poll(2) loop. Lifecycle of a task: enqueue() → pump()
- * forks it into a free slot → the caller's poll wakes on its pipe →
- * service() drains, reaps, classifies, retries host-level failures,
- * and returns it as a Done with a fully-finalized RunResult (names
- * from the spec, failure taxonomy filled, the same strings
- * runIsolated always produced).
- *
- * Single-threaded by design: every method must be called from the one
- * thread that owns the pool (the daemon's event loop / the sweep
- * engine's parent loop).
- */
-class IsolatePool
-{
-  public:
-    /** One run to execute in a sandboxed child. */
-    struct Task
-    {
-        /** Caller's correlation key, echoed back in Done. */
-        uint64_t token = 0;
-        /** Runner owning the (pre-warmed) workload/prepass caches. */
-        harness::Runner *runner = nullptr;
-        SweepJob job;
-        uint64_t fp = 0;
-        /**
-         * When non-zero, the child samples interval stats every this
-         * many cycles and streams the JSONL lines back ahead of its
-         * run record (Done::intervalLines). Zero leaves whatever
-         * global interval configuration is in effect untouched.
-         */
-        uint64_t intervalCycles = 0;
-    };
-
-    /** A finished task: the final result after any retries. */
-    struct Done
-    {
-        uint64_t token = 0;
-        harness::RunResult result;
-        /** Interval-sample JSONL lines (Task::intervalCycles > 0). */
-        std::vector<std::string> intervalLines;
-        /** Attempts consumed (1 = no retries needed). */
-        unsigned attempts = 1;
-        /** Worker slot the final attempt ran in (0-based). */
-        unsigned slot = 0;
-        /** Pool queue wait: enqueue() → final fork, milliseconds.
-         * Also stamped into result.queueMs. */
-        double queueMs = 0;
-        /** Parent-observed execute time of the final attempt: fork →
-         * reap, milliseconds (covers crashed children, whose own
-         * wallMs never made it back). */
-        double execMs = 0;
-    };
-
-    explicit IsolatePool(IsolateOptions opts);
-    /** Kills and reaps any children still live (abandoned work). */
-    ~IsolatePool();
-
-    IsolatePool(const IsolatePool &) = delete;
-    IsolatePool &operator=(const IsolatePool &) = delete;
-
-    /** Queue a task; it forks when a slot frees up (see pump()). */
-    void enqueue(Task task);
-
-    /** Tasks not yet returned by service(): queued + live children. */
-    size_t unfinished() const { return queue.size() + live.size(); }
-    bool idle() const { return unfinished() == 0; }
-    /** Currently-forked children (≤ slots). */
-    unsigned liveChildren() const
-    {
-        return static_cast<unsigned>(live.size());
-    }
-    /** Free slots a caller may fill before pump() would sit on work. */
-    unsigned
-    freeSlots() const
-    {
-        unsigned s = std::max(1u, opts.slots);
-        size_t busy = unfinished();
-        return busy >= s ? 0 : s - static_cast<unsigned>(busy);
-    }
-
-    /** Fork queued tasks into free slots (respecting retry backoff). */
-    void pump();
-
-    /**
-     * Append one POLLIN pollfd per live child pipe to @p out; the
-     * caller merges them into its poll set so it wakes when a child
-     * finishes. Returns the number added.
-     */
-    size_t addPollFds(std::vector<struct pollfd> &out) const;
-
-    /**
-     * Milliseconds until the pool next needs attention regardless of
-     * fd readiness (a wall-clock deadline or a retry backoff expiring),
-     * or -1 when it can wait forever. Use as an upper bound on the
-     * caller's poll timeout.
-     */
-    int timeoutMs() const;
-
-    /**
-     * One non-blocking maintenance pass: drain readable child pipes,
-     * SIGKILL deadline overruns, reap + classify exited children,
-     * requeue retryable failures, fork queued work into free slots.
-     * Returns every task that reached a final result.
-     */
-    std::vector<Done> service();
-
-    /**
-     * Register the pool's metrics (slot occupancy, forks, retries,
-     * execute-latency histogram) in @p registry. Optional; a pool
-     * without a registry records nothing. Must be called before the
-     * first enqueue() and outlive the pool.
-     */
-    void setMetrics(obs::MetricsRegistry *registry);
-
-  private:
-    struct Attempt
-    {
-        Task task;
-        unsigned attempt = 0; ///< 0-based attempt number.
-        /** Earliest fork time (retry backoff). */
-        std::chrono::steady_clock::time_point notBefore;
-        /** First enqueue() time; survives retries so queueMs measures
-         * the task's whole wait, not the last backoff's. */
-        std::chrono::steady_clock::time_point enqueuedAt;
-    };
-
-    struct Child
-    {
-        Task task;
-        pid_t pid = -1;
-        int fd = -1;
-        unsigned attempt = 0;
-        bool killed = false; ///< We delivered SIGKILL (wall timeout).
-        bool eof = false;
-        std::string buf; ///< Record + interval bytes read so far.
-        std::chrono::steady_clock::time_point deadline;
-        bool hasDeadline = false;
-        unsigned slot = 0; ///< Worker slot this child occupies.
-        std::chrono::steady_clock::time_point spawnedAt;
-        std::chrono::steady_clock::time_point enqueuedAt;
-    };
-
-    bool spawn(const Attempt &a, std::vector<Done> &out);
-    void drainPipes();
-    void enforceDeadlines();
-    void reap(std::vector<Done> &out);
-    unsigned claimSlot();
-    void releaseSlot(unsigned slot);
-
-    IsolateOptions opts;
-    std::deque<Attempt> queue;
-    std::vector<Child> live;
-    /** Results finished synchronously (in-process fallback when
-     * pipe2/fork fails), held for the next service() call. */
-    std::vector<Done> fallbackDone;
-    /** Which worker slots hold a live child (lowest-free assignment,
-     * so trace tracks are stable). */
-    std::vector<char> slotBusy;
-
-    // Optional telemetry handles (null without setMetrics).
-    obs::Gauge *busyGauge = nullptr;
-    obs::Counter *forksCounter = nullptr;
-    obs::Counter *retriesCounter = nullptr;
-    obs::Counter *execMsCounter = nullptr;
-    obs::Histogram *execHistogram = nullptr;
 };
 
 /**

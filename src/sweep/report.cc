@@ -11,10 +11,10 @@
 #include <sstream>
 #include <tuple>
 
+#include "base/jsonl.hh"
 #include "base/str.hh"
 #include "obs/cpi_stack.hh"
 #include "sim/table.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 #include "workloads/workload.hh"
 

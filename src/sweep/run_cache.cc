@@ -15,9 +15,9 @@
 #include <limits>
 #include <sstream>
 
+#include "base/jsonl.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {
@@ -387,9 +387,8 @@ RunCache::RunCache(const std::string &dir)
     filePath = dir + "/runs.jsonl";
 
     ScanVisitor v;
-    v.onRecord = [&](uint64_t fp, uint64_t scale,
-                     const harness::RunResult &r,
-                     const std::string &) { entries[fp] = {r, scale}; };
+    v.onRecord = [&](uint64_t fp, uint64_t, const harness::RunResult &r,
+                     const std::string &) { entries[fp] = r; };
     scanCacheFile(filePath, v);
     if (v.rejected > 0) {
         warn("run cache: ignored %zu unparseable record(s) in %s "
@@ -420,17 +419,8 @@ RunCache::lookup(uint64_t fp, harness::RunResult &out) const
     auto it = entries.find(fp);
     if (it == entries.end())
         return false;
-    out = it->second.run;
+    out = it->second;
     return true;
-}
-
-void
-RunCache::forEach(
-    const std::function<void(uint64_t, uint64_t,
-                             const harness::RunResult &)> &fn) const
-{
-    for (const auto &[fp, entry] : entries)
-        fn(fp, entry.scale, entry.run);
 }
 
 void
@@ -439,7 +429,7 @@ RunCache::append(uint64_t fp, uint64_t scale,
 {
     {
         std::lock_guard<std::mutex> lock(appendMutex);
-        entries[fp] = {r, scale};
+        entries[fp] = r;
     }
     if (fd < 0)
         return; // cache directory was unusable

@@ -18,7 +18,6 @@
 #ifndef CWSIM_SWEEP_RUN_CACHE_HH
 #define CWSIM_SWEEP_RUN_CACHE_HH
 
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -100,29 +99,14 @@ class RunCache
     void append(uint64_t fp, uint64_t scale,
                 const harness::RunResult &r);
 
-    /**
-     * Visit every indexed entry in fingerprint order (the corpus a
-     * daemon serves to `cwsim-report --connect`). Reflects this
-     * process's view: records loaded at open plus its own appends.
-     */
-    void forEach(const std::function<void(uint64_t fp, uint64_t scale,
-                                          const harness::RunResult &)>
-                     &fn) const;
-
     size_t size() const { return entries.size(); }
     const std::string &path() const { return filePath; }
 
   private:
-    struct Entry
-    {
-        harness::RunResult run;
-        uint64_t scale = 0;
-    };
-
     std::string filePath;
     int fd = -1; ///< O_RDWR|O_APPEND|O_CLOEXEC; -1 when unusable.
     std::mutex appendMutex; ///< flock() excludes processes, not threads.
-    std::map<uint64_t, Entry> entries;
+    std::map<uint64_t, harness::RunResult> entries;
 };
 
 /** What fsckRunCache() found in a cache file. */
@@ -148,8 +132,8 @@ CacheFsckReport fsckRunCache(const std::string &dir);
  * Rewrite <dir>/runs.jsonl keeping only the newest valid record per
  * fingerprint (first-appearance order). The rewrite happens in place —
  * truncate + rewrite of the SAME inode under the advisory flock every
- * appender takes — so it is safe while a live writer (a daemon, a
- * concurrent bench) holds the cache open: its O_APPEND descriptor
+ * appender takes — so it is safe while a live writer (a concurrent
+ * bench) holds the cache open: its O_APPEND descriptor
  * keeps landing records in the surviving file instead of a renamed-
  * away orphan. Returns false with @p err set on I/O failure.
  */

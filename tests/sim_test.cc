@@ -11,12 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "base/jsonl.hh"
 #include "sim/config.hh"
 #include "sim/config_parse.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
-#include "sweep/jsonl.hh"
 
 namespace cwsim
 {
@@ -326,7 +326,7 @@ TEST(StatsTest, JsonExportRoundTripsThroughFlatJsonParser)
     child.addScalar("allocations", &allocs);
 
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(root.jsonString(), fields));
+    ASSERT_TRUE(parseFlatJson(root.jsonString(), fields));
     EXPECT_EQ(fields.at("proc.commits"), "123");
     EXPECT_EQ(fields.at("proc.mdpt.allocations"), "7");
     EXPECT_DOUBLE_EQ(std::stod(fields.at("proc.loadIssueDelay.mean")),
@@ -362,7 +362,7 @@ TEST(StatsTest, HexPcKeySegmentsSurviveJsonExport)
     depprof.addScalar("store_0xdeadBEEF.commits", &mixed);
 
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(root.jsonString(), fields));
+    ASSERT_TRUE(parseFlatJson(root.jsonString(), fields));
     EXPECT_EQ(fields.at("proc.depprof.load_0x0.execs"), "1");
     EXPECT_EQ(
         fields.at("proc.depprof.load_0xffffffffffffffff.violations"),

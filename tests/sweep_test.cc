@@ -18,11 +18,11 @@
 #include <thread>
 #include <unistd.h>
 
+#include "base/jsonl.hh"
 #include "mdp/dep_profile.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/depprof.hh"
 #include "sweep/bench_cli.hh"
-#include "sweep/jsonl.hh"
 #include "sweep/run_cache.hh"
 #include "sweep/sweep.hh"
 
@@ -387,7 +387,7 @@ TEST(SweepJson, OneRecordPerRunIncludingFailures)
     std::string line;
     while (std::getline(in, line)) {
         std::map<std::string, std::string> fields;
-        ASSERT_TRUE(sweep::parseFlatJson(line, fields)) << line;
+        ASSERT_TRUE(parseFlatJson(line, fields)) << line;
         records.push_back(std::move(fields));
     }
     ASSERT_EQ(records.size(), plan.size());
@@ -418,7 +418,7 @@ TEST(SweepRecord, V2RoundTripsHostProfilingFields)
 
     std::string line = sweep::runRecordLine(r, 0xabcdull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("v"), "5");
     EXPECT_EQ(fields.at("wall_ms"), "250");
     EXPECT_EQ(fields.at("sim_cycles_per_sec"), "20000");
@@ -454,7 +454,7 @@ TEST(SweepRecord, V3RoundTripsCpiStack)
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("commit_width"), "8");
     EXPECT_EQ(fields.at("cpi_committed"), "2600");
     EXPECT_EQ(fields.at("cpi_mem_dep_squash"), "1400");
@@ -483,7 +483,7 @@ TEST(SweepRecord, V1RecordsStayReadable)
     // A record written before the schema gained host-profiling fields
     // (run_record_version 1) must still parse, with the new fields
     // defaulted, so bumping the schema never invalidates a warm cache.
-    sweep::JsonObject obj;
+    JsonObject obj;
     obj.add("v", static_cast<uint64_t>(1))
         .add("fp", std::string("00000000deadbeef"))
         .add("workload", std::string("129.compress"))
@@ -507,7 +507,7 @@ TEST(SweepRecord, V1RecordsStayReadable)
         .add("ipc", 0.694);
 
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(obj.str(), fields));
+    ASSERT_TRUE(parseFlatJson(obj.str(), fields));
     RunResult parsed;
     ASSERT_TRUE(sweep::runRecordParse(fields, parsed));
     EXPECT_TRUE(parsed.ok);
@@ -541,7 +541,7 @@ TEST(SweepRecord, V4RoundTripsFailureTaxonomy)
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("fail_kind"), "crash");
     EXPECT_EQ(fields.at("fail_detail"), "SIGSEGV");
     EXPECT_EQ(fields.at("fail_injected"), "true");
@@ -582,7 +582,7 @@ TEST(SweepRecord, V5RoundTripsDependenceProfileSummary)
 
     std::string line = sweep::runRecordLine(r, 0x1234ull, 3000);
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(line, fields));
+    ASSERT_TRUE(parseFlatJson(line, fields));
     EXPECT_EQ(fields.at("dep_profiled"), "true");
     EXPECT_EQ(fields.at("dep_loads"), "12");
     EXPECT_EQ(fields.at("dep_stores"), "7");
@@ -755,12 +755,12 @@ TEST(SweepCache, FsckAndCompact)
 
 TEST(SweepCache, CompactIsSafeWhileAWriterHoldsTheCacheOpen)
 {
-    // A daemon keeps its RunCache (and its O_APPEND descriptor) open
-    // across compactions. Because compaction rewrites the same inode
-    // in place under the appenders' flock — rather than renaming a
-    // temp file over it — records the live writer appends AFTER the
-    // compaction must land in the surviving file, not a renamed-away
-    // orphan.
+    // A long sweep keeps its RunCache (and its O_APPEND descriptor)
+    // open while another process compacts the directory. Because
+    // compaction rewrites the same inode in place under the
+    // appenders' flock — rather than renaming a temp file over it —
+    // records the live writer appends AFTER the compaction must land
+    // in the surviving file, not a renamed-away orphan.
     ScratchDir dir("sweep_compact_live_writer");
     SimConfig cfg = withPolicy(makeW128Config(), LsqModel::NAS,
                                SpecPolicy::Naive);
@@ -795,35 +795,6 @@ TEST(SweepCache, CompactIsSafeWhileAWriterHoldsTheCacheOpen)
     ASSERT_TRUE(reader.lookup(0xc3, out));
     EXPECT_EQ(out.cycles, 4u);
     EXPECT_TRUE(sweep::fsckRunCache(dir.path).clean());
-}
-
-TEST(SweepCache, ForEachVisitsEveryEntryWithItsScale)
-{
-    ScratchDir dir("sweep_foreach_test");
-    SimConfig cfg = withPolicy(makeW128Config(), LsqModel::NAS,
-                               SpecPolicy::Naive);
-    RunResult r;
-    r.workload = "130.li";
-    r.config = cfg.name();
-
-    sweep::RunCache cache(dir.path);
-    r.cycles = 7;
-    cache.append(0xa1, 3000, r);
-    r.cycles = 8;
-    cache.append(0xb2, 5000, r);
-
-    // Scale must survive a reload too (it rides in the record line).
-    sweep::RunCache reloaded(dir.path);
-    std::map<uint64_t, std::pair<uint64_t, uint64_t>> seen;
-    reloaded.forEach([&](uint64_t fp, uint64_t scale,
-                         const RunResult &run) {
-        seen[fp] = {scale, run.cycles};
-    });
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0xa1].first, 3000u);
-    EXPECT_EQ(seen[0xa1].second, 7u);
-    EXPECT_EQ(seen[0xb2].first, 5000u);
-    EXPECT_EQ(seen[0xb2].second, 8u);
 }
 
 TEST(SweepFingerprint, SensitiveToEveryInput)
@@ -902,14 +873,14 @@ TEST(SweepParallelFor, CancelsQueuePromptlyOnError)
 
 TEST(JsonlTest, EscapeAndRoundTrip)
 {
-    sweep::JsonObject obj;
+    JsonObject obj;
     obj.add("s", std::string("a\"b\\c\nd"))
         .add("n", static_cast<uint64_t>(42))
         .add("f", 0.5)
         .add("b", true)
         .add("nan", std::numeric_limits<double>::quiet_NaN());
     std::map<std::string, std::string> fields;
-    ASSERT_TRUE(sweep::parseFlatJson(obj.str(), fields));
+    ASSERT_TRUE(parseFlatJson(obj.str(), fields));
     EXPECT_EQ(fields.at("s"), "a\"b\\c\nd");
     EXPECT_EQ(fields.at("n"), "42");
     EXPECT_EQ(fields.at("f"), "0.5");
@@ -920,12 +891,12 @@ TEST(JsonlTest, EscapeAndRoundTrip)
 TEST(JsonlTest, RejectsMalformedLines)
 {
     std::map<std::string, std::string> fields;
-    EXPECT_FALSE(sweep::parseFlatJson("", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("not json", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("{\"a\":1", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("{\"a\":{\"b\":1}}", fields));
-    EXPECT_FALSE(sweep::parseFlatJson("{\"a\":1}trailing", fields));
-    EXPECT_TRUE(sweep::parseFlatJson("{}", fields));
+    EXPECT_FALSE(parseFlatJson("", fields));
+    EXPECT_FALSE(parseFlatJson("not json", fields));
+    EXPECT_FALSE(parseFlatJson("{\"a\":1", fields));
+    EXPECT_FALSE(parseFlatJson("{\"a\":{\"b\":1}}", fields));
+    EXPECT_FALSE(parseFlatJson("{\"a\":1}trailing", fields));
+    EXPECT_TRUE(parseFlatJson("{}", fields));
     EXPECT_TRUE(fields.empty());
 }
 
@@ -1075,6 +1046,39 @@ TEST(BenchCliTest, IsolationFlagsReadEnvDefaults)
     unsetenv("CWSIM_TIMEOUT");
     unsetenv("CWSIM_MEM_LIMIT");
     unsetenv("CWSIM_RETRIES");
+}
+
+TEST(BenchCliTest, CacheDirReadsEnvDefault)
+{
+    const char *bare[] = {"bench"};
+    unsetenv("CWSIM_CACHE_DIR");
+    EXPECT_EQ(sweep::parseBenchArgs(1, const_cast<char **>(bare))
+                  .cacheDir,
+              ".cwsim-cache");
+
+    // The env var points every bench at one shared corpus...
+    setenv("CWSIM_CACHE_DIR", "/tmp/shared-corpus", 1);
+    EXPECT_EQ(sweep::parseBenchArgs(1, const_cast<char **>(bare))
+                  .cacheDir,
+              "/tmp/shared-corpus");
+
+    // ...and --cache-dir still overrides it, in both value forms.
+    const char *flag[] = {"bench", "--cache-dir", "mine"};
+    EXPECT_EQ(sweep::parseBenchArgs(3, const_cast<char **>(flag))
+                  .cacheDir,
+              "mine");
+    const char *inlined[] = {"bench", "--cache-dir=inline"};
+    EXPECT_EQ(sweep::parseBenchArgs(2, const_cast<char **>(inlined))
+                  .cacheDir,
+              "inline");
+
+    // An empty value is ignored, not taken as the current directory.
+    setenv("CWSIM_CACHE_DIR", "", 1);
+    EXPECT_EQ(sweep::parseBenchArgs(1, const_cast<char **>(bare))
+                  .cacheDir,
+              ".cwsim-cache");
+
+    unsetenv("CWSIM_CACHE_DIR");
 }
 
 TEST(BenchCliTest, DefaultScaleRespectsEnvAndOverride)

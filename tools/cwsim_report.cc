@@ -2,10 +2,7 @@
  * @file
  * cwsim-report: render a sweep JSONL file (the run-cache / --json
  * export format) as a markdown or HTML report, or diff two JSONL
- * files field-by-field to flag simulated-stat drift. With --connect
- * the records come from a live cwsimd's shared corpus instead of a
- * file, so a report can be pulled from a running service without
- * touching its cache directory.
+ * files field-by-field to flag simulated-stat drift.
  *
  * Exit codes: 0 success (diff clean), 1 drift detected, 2 usage or
  * I/O error. The CI stats-diff job relies on this split to tell
@@ -16,16 +13,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "base/str.hh"
 #include "mdp/dep_profile.hh"
-#include "svc/client.hh"
-#include "svc/protocol.hh"
 #include "sweep/report.hh"
 #include "sweep/run_cache.hh"
+
+#ifndef CWSIM_BUILD_TYPE
+#define CWSIM_BUILD_TYPE "unknown"
+#endif
 
 namespace
 {
@@ -38,8 +35,6 @@ usage(const char *argv0)
         "usage: %s [--format md|html] [--out PATH] [--top N] "
         "SWEEP.jsonl\n"
         "       %s --diff BASELINE.jsonl CURRENT.jsonl\n"
-        "       %s --connect SOCKET [--format md|html] [--out PATH]\n"
-        "       %s --connect SOCKET --status\n"
         "       %s --depprof PROFILE.depprof.jsonl [--format md|html]\n"
         "\n"
         "Render a cwsim sweep JSONL file as a report, or compare two\n"
@@ -56,138 +51,10 @@ usage(const char *argv0)
         "  --depprof FILE    render a .depprof.jsonl dependence\n"
         "                    profile (validates it first; exit 2 on\n"
         "                    validation errors)\n"
-        "  --connect SOCKET  pull the corpus from a running cwsimd\n"
-        "                    (Unix socket) instead of a file; may also\n"
-        "                    be the CURRENT side of a --diff\n"
-        "  --status          with --connect: render a live daemon\n"
-        "                    dashboard (uptime, queue, slots, latency\n"
-        "                    quantiles, failure counts) and exit\n"
-        "  --version         print schema/protocol/build identity\n"
+        "  --version         print record-schema version and build type\n"
         "  --help            show this message\n",
-        argv0, argv0, argv0, argv0, argv0);
+        argv0, argv0, argv0);
     return 2;
-}
-
-/** A stats-event field as a double; NaN-tolerant ("nan" quantiles of
- * an empty histogram come over the wire as quoted strings). */
-double
-statNum(const std::map<std::string, std::string> &ev, const char *key)
-{
-    auto it = ev.find(key);
-    if (it == ev.end())
-        return 0;
-    return std::strtod(it->second.c_str(), nullptr);
-}
-
-std::string
-fmtMs(double ms)
-{
-    if (ms != ms) // NaN: no samples yet
-        return "-";
-    if (ms >= 1000)
-        return cwsim::strfmt("%.2fs", ms / 1000.0);
-    return cwsim::strfmt("%.0fms", ms);
-}
-
-/**
- * The live dashboard behind --connect --status: one stats round-trip
- * rendered as markdown. Everything shown comes from the daemon's
- * metrics registry (plus the legacy stats fields), so this doubles as
- * a smoke test that the registry snapshot is coherent.
- */
-int
-renderStatus(const std::string &socketPath, const std::string &outPath)
-{
-    cwsim::svc::Client client;
-    std::string err;
-    if (!client.connectUnix(socketPath, &err)) {
-        std::fprintf(stderr, "cwsim-report: %s\n", err.c_str());
-        return 2;
-    }
-    std::map<std::string, std::string> ev;
-    if (!client.sendLine("{\"cmd\":\"stats\"}", &err) ||
-        !client.nextEvent(ev, &err)) {
-        std::fprintf(stderr, "cwsim-report: %s\n",
-                     err.empty() ? "server closed" : err.c_str());
-        return 2;
-    }
-
-    double uptimeMs = statNum(ev, "cwsimd_uptime_ms");
-    double slots = statNum(ev, "cwsim_pool_slots");
-    double busy = statNum(ev, "cwsim_pool_busy");
-    double execMs = statNum(ev, "cwsim_pool_exec_ms_total");
-    // Slot utilization: occupied slot-time over available slot-time.
-    double util = (slots > 0 && uptimeMs > 0)
-                      ? 100.0 * execMs / (uptimeMs * slots)
-                      : 0;
-    double executed = statNum(ev, "cwsimd_runs_executed_total");
-    double cacheHits = statNum(ev, "cwsimd_cache_hits_total");
-    double served = executed + cacheHits;
-    double hitPct = served > 0 ? 100.0 * cacheHits / served : 0;
-
-    std::string md;
-    md += cwsim::strfmt("# cwsimd status — %s\n\n",
-                        socketPath.c_str());
-    md += cwsim::strfmt(
-        "- uptime: %.1fs, draining: %s\n", uptimeMs / 1000.0,
-        ev.count("draining") ? ev.at("draining").c_str() : "?");
-    md += cwsim::strfmt(
-        "- clients: %.0f open, %.0f lifetime\n",
-        statNum(ev, "cwsimd_sessions_open"),
-        statNum(ev, "cwsimd_sessions_total"));
-    md += cwsim::strfmt(
-        "- queue: %.0f queued, %.0f running; wait p50 %s, p90 %s, "
-        "p99 %s\n",
-        statNum(ev, "cwsimd_queue_depth"),
-        statNum(ev, "cwsimd_runs_running"),
-        fmtMs(statNum(ev, "cwsimd_queue_wait_seconds_p50") * 1000)
-            .c_str(),
-        fmtMs(statNum(ev, "cwsimd_queue_wait_seconds_p90") * 1000)
-            .c_str(),
-        fmtMs(statNum(ev, "cwsimd_queue_wait_seconds_p99") * 1000)
-            .c_str());
-    md += cwsim::strfmt(
-        "- slots: %.0f busy of %.0f (utilization %.1f%%)\n", busy,
-        slots, util);
-    md += cwsim::strfmt(
-        "- runs: %.0f executed, %.0f cache hits (%.1f%% hit ratio), "
-        "%.0f deduped\n",
-        executed, cacheHits, hitPct,
-        statNum(ev, "cwsimd_dedupe_hits_total"));
-    md += cwsim::strfmt(
-        "- run latency: p50 %s, p90 %s, p99 %s (n=%.0f)\n",
-        fmtMs(statNum(ev, "cwsimd_run_latency_seconds_p50") * 1000)
-            .c_str(),
-        fmtMs(statNum(ev, "cwsimd_run_latency_seconds_p90") * 1000)
-            .c_str(),
-        fmtMs(statNum(ev, "cwsimd_run_latency_seconds_p99") * 1000)
-            .c_str(),
-        statNum(ev, "cwsimd_run_latency_seconds_count"));
-    md += cwsim::strfmt("- corpus: %.0f cached record(s)\n",
-                        statNum(ev, "cwsimd_cache_size"));
-    md += "\n| outcome | count |\n|---|---|\n";
-    for (const char *kind :
-         {"none", "sim_error", "crash", "timeout", "oom",
-          "protocol"}) {
-        md += cwsim::strfmt(
-            "| %s | %.0f |\n", kind,
-            statNum(ev,
-                    (std::string("cwsimd_run_results_total_") + kind)
-                        .c_str()));
-    }
-
-    if (outPath.empty()) {
-        std::fputs(md.c_str(), stdout);
-    } else {
-        std::ofstream out(outPath);
-        if (!out) {
-            std::fprintf(stderr, "cwsim-report: cannot write %s\n",
-                         outPath.c_str());
-            return 2;
-        }
-        out << md;
-    }
-    return 0;
 }
 
 bool
@@ -214,86 +81,15 @@ load(const std::string &path,
     return true;
 }
 
-/**
- * Pull every corpus record from a running cwsimd over its Unix
- * socket. The daemon streams them as corpus_record events — one run
- * record wrapped in an event envelope, which runRecordParse ignores —
- * terminated by corpus_done.
- */
-bool
-fetchCorpus(const std::string &socketPath,
-            std::vector<cwsim::sweep::ReportRecord> &out)
-{
-    cwsim::svc::Client client;
-    std::string err;
-    if (!client.connectUnix(socketPath, &err)) {
-        std::fprintf(stderr, "cwsim-report: %s\n", err.c_str());
-        return false;
-    }
-    if (!client.sendLine("{\"cmd\":\"corpus\"}", &err)) {
-        std::fprintf(stderr, "cwsim-report: %s\n", err.c_str());
-        return false;
-    }
-    size_t rejected = 0;
-    std::map<std::string, std::string> ev;
-    for (;;) {
-        if (!client.nextEvent(ev, &err)) {
-            std::fprintf(stderr, "cwsim-report: %s\n",
-                         err.empty() ? "server closed mid-corpus"
-                                     : err.c_str());
-            return false;
-        }
-        auto kind = ev.find("ev");
-        if (kind == ev.end())
-            continue;
-        if (kind->second == "corpus_done")
-            break;
-        if (kind->second == "error") {
-            auto reason = ev.find("reason");
-            std::fprintf(stderr, "cwsim-report: server error: %s\n",
-                         reason == ev.end() ? "?"
-                                            : reason->second.c_str());
-            return false;
-        }
-        if (kind->second != "corpus_record")
-            continue;
-        cwsim::sweep::ReportRecord rec;
-        if (!cwsim::sweep::runRecordParse(ev, rec.run)) {
-            ++rejected;
-            continue;
-        }
-        auto fp = ev.find("fp");
-        if (fp != ev.end())
-            rec.fp = fp->second;
-        auto scale = ev.find("scale");
-        if (scale != ev.end())
-            rec.scale = std::strtoull(scale->second.c_str(), nullptr,
-                                      10);
-        out.push_back(std::move(rec));
-    }
-    if (rejected > 0) {
-        std::fprintf(stderr,
-                     "cwsim-report: warning: skipped %zu unparseable "
-                     "record(s) from %s\n",
-                     rejected, socketPath.c_str());
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "cwsim-report: empty corpus at %s\n",
-                     socketPath.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    bool diff = false, status = false;
+    bool diff = false;
     cwsim::sweep::ReportFormat format =
         cwsim::sweep::ReportFormat::Markdown;
-    std::string out_path, connect_path, depprof_path;
+    std::string out_path, depprof_path;
     size_t top = 20;
     std::vector<std::string> inputs;
 
@@ -304,14 +100,15 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 0;
         } else if (std::strcmp(arg, "--version") == 0) {
-            std::printf(
-                "%s\n",
-                cwsim::svc::versionLine("cwsim-report").c_str());
+            const char *build = CWSIM_BUILD_TYPE;
+            std::printf("cwsim-report (cwsim record-schema v%llu, %s "
+                        "build)\n",
+                        static_cast<unsigned long long>(
+                            cwsim::sweep::run_record_version),
+                        build[0] ? build : "unknown");
             return 0;
         } else if (std::strcmp(arg, "--diff") == 0) {
             diff = true;
-        } else if (std::strcmp(arg, "--status") == 0) {
-            status = true;
         } else if (std::strcmp(arg, "--format") == 0 && i + 1 < argc) {
             std::string value = argv[++i];
             if (value == "md") {
@@ -339,9 +136,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--depprof") == 0 &&
                    i + 1 < argc) {
             depprof_path = argv[++i];
-        } else if (std::strcmp(arg, "--connect") == 0 &&
-                   i + 1 < argc) {
-            connect_path = argv[++i];
         } else if (arg[0] == '-' && arg[1] != '\0') {
             std::fprintf(stderr, "cwsim-report: unknown flag '%s'\n",
                          arg);
@@ -352,8 +146,7 @@ main(int argc, char **argv)
     }
 
     if (!depprof_path.empty()) {
-        if (diff || status || !connect_path.empty() ||
-            !inputs.empty()) {
+        if (diff || !inputs.empty()) {
             std::fprintf(stderr,
                          "cwsim-report: --depprof wants a profile "
                          "file and nothing else\n");
@@ -394,26 +187,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (status) {
-        if (connect_path.empty() || diff || !inputs.empty()) {
-            std::fprintf(stderr,
-                         "cwsim-report: --status wants --connect "
-                         "SOCKET and nothing else\n");
-            return usage(argv[0]);
-        }
-        return renderStatus(connect_path, out_path);
-    }
-
     if (diff) {
-        // With --connect the daemon's corpus is the CURRENT side and
-        // the single positional file is the baseline.
-        if (inputs.size() != (connect_path.empty() ? 2u : 1u))
+        if (inputs.size() != 2)
             return usage(argv[0]);
         std::vector<cwsim::sweep::ReportRecord> baseline, current;
-        if (!load(inputs[0], baseline))
-            return 2;
-        if (connect_path.empty() ? !load(inputs[1], current)
-                                 : !fetchCorpus(connect_path, current))
+        if (!load(inputs[0], baseline) || !load(inputs[1], current))
             return 2;
         cwsim::sweep::DiffResult result =
             cwsim::sweep::diffRunRecords(baseline, current);
@@ -421,11 +199,10 @@ main(int argc, char **argv)
         return result.clean() ? 0 : 1;
     }
 
-    if (inputs.size() != (connect_path.empty() ? 1u : 0u))
+    if (inputs.size() != 1)
         return usage(argv[0]);
     std::vector<cwsim::sweep::ReportRecord> records;
-    if (connect_path.empty() ? !load(inputs[0], records)
-                             : !fetchCorpus(connect_path, records))
+    if (!load(inputs[0], records))
         return 2;
     std::string report =
         cwsim::sweep::renderReport(records, format, top);
