@@ -418,7 +418,7 @@ Processor::releaseStores()
         InstSeqNum seq = entry.seq;
         bool accepted = memSys.dataAccess(
             entry.addr, entry.size, true, [this, seq]() {
-                if (SbEntry *e = findSbEntry(seq)) {
+                if (SbEntry *e = sb.findSeq(seq)) {
                     e->releasing = false;
                     e->released = true;
                 }
@@ -531,10 +531,6 @@ Processor::doDispatch()
         inst.hasCheckpoint = fi.hasCheckpoint;
         inst.checkpoint = fi.checkpoint;
         inst.memSize = fi.si.memSize();
-        // Publish the identity fields before operand capture: its
-        // producer lookups binary-search the seq mirror, which must
-        // already be sorted through this slot.
-        rob.sync(inst);
 
         captureOperand(inst, inst.src1, fi.si.rs1);
         captureOperand(inst, inst.src2, fi.si.rs2);
@@ -641,9 +637,6 @@ Processor::doDispatch()
 
         if (inst.si.isMem())
             ++lsqCount;
-
-        // All dispatch-time writes to mirrored fields are done.
-        rob.sync(inst);
 
         fetchQueue.pop_front();
         --budget;
@@ -773,22 +766,21 @@ Processor::resumeFetch(Addr target)
 DynInst *
 Processor::findInst(InstSeqNum seq)
 {
-    // Binary search over the window's dense seq array; the fat record
-    // is only touched on a hit.
-    size_t s = rob.findSlot(seq);
-    return s == Window::npos ? nullptr : &rob.slot(s);
-}
-
-SbEntry *
-Processor::findSbEntry(InstSeqNum seq)
-{
-    return sb.findSeq(seq);
-}
-
-const SbEntry *
-Processor::findSbByTraceIdx(TraceIndex idx) const
-{
-    return sb.findTraceIdx(idx);
+    // Window entries are seq-sorted by position (squashes leave gaps),
+    // so binary-search the positions.
+    size_t lo = 0;
+    size_t hi = rob.size();
+    while (lo < hi) {
+        size_t mid = lo + (hi - lo) / 2;
+        DynInst &inst = rob.slot(rob.physIndex(mid));
+        if (inst.seq == seq)
+            return &inst;
+        if (inst.seq < seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return nullptr;
 }
 
 void
@@ -843,25 +835,20 @@ Processor::broadcastResult(const DynInst &producer)
     size_t keep = 0;
     for (size_t i = 0; i < list.size(); ++i) {
         const ConsumerRef ref = list[i];
-        if (!rob.refLive(ref.slot, ref.seq))
+        if (!refLive(ref.slot, ref.seq))
             continue;
         list[keep++] = ref;
         DynInst &inst = rob.slot(ref.slot);
-        bool woke = false;
         if (inst.src1.hasProducer && !inst.src1.ready &&
             inst.src1.producer == producer.seq) {
             inst.src1.ready = true;
             inst.src1.value = producer.result;
-            woke = true;
         }
         if (inst.src2.hasProducer && !inst.src2.ready &&
             inst.src2.producer == producer.seq) {
             inst.src2.ready = true;
             inst.src2.value = producer.result;
-            woke = true;
         }
-        if (woke)
-            rob.sync(inst);
     }
     list.resize(keep);
 }
@@ -873,15 +860,13 @@ Processor::unbroadcast(const DynInst &producer)
     size_t keep = 0;
     for (size_t i = 0; i < list.size(); ++i) {
         const ConsumerRef ref = list[i];
-        if (!rob.refLive(ref.slot, ref.seq))
+        if (!refLive(ref.slot, ref.seq))
             continue;
         list[keep++] = ref;
         DynInst &inst = rob.slot(ref.slot);
-        bool recalled = false;
         if (inst.src1.hasProducer &&
             inst.src1.producer == producer.seq) {
             inst.src1.ready = false;
-            recalled = true;
             // A load may have address-generated from the stale value
             // while blocked on a port; the cached address is wrong
             // once the operand is recalled.
@@ -891,10 +876,7 @@ Processor::unbroadcast(const DynInst &producer)
         if (inst.src2.hasProducer &&
             inst.src2.producer == producer.seq) {
             inst.src2.ready = false;
-            recalled = true;
         }
-        if (recalled)
-            rob.sync(inst);
     }
     list.resize(keep);
 }
@@ -921,7 +903,7 @@ Processor::anyConsumerIssued(const DynInst &producer) const
     const std::vector<ConsumerRef> &list =
         consumers[rob.slotOf(producer)];
     for (const ConsumerRef &ref : list) {
-        if (!rob.refLive(ref.slot, ref.seq))
+        if (!refLive(ref.slot, ref.seq))
             continue;
         const DynInst &inst = rob.slot(ref.slot);
         bool consumes =
@@ -939,7 +921,6 @@ Processor::completeInst(DynInst &inst)
 {
     inst.done = true;
     inst.completedAt = cycle;
-    rob.sync(inst);
     pendingBits.clear(rob.slotOf(inst));
     if (inst.si.writesReg())
         broadcastResult(inst);

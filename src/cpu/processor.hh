@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "base/byte_index.hh"
+#include "base/circular_queue.hh"
 #include "base/sim_error.hh"
 #include "base/slot_bitmap.hh"
 #include "base/types.hh"
@@ -36,7 +37,6 @@
 #include "check/watchdog.hh"
 #include "cpu/dyn_inst.hh"
 #include "cpu/store_buffer.hh"
-#include "cpu/window.hh"
 #include "isa/executor.hh"
 #include "isa/program.hh"
 #include "mdp/mdp_table.hh"
@@ -274,8 +274,16 @@ class Processor
 
     // ---- shared helpers ----------------------------------------------
     DynInst *findInst(InstSeqNum seq);
-    SbEntry *findSbEntry(InstSeqNum seq);
-    const SbEntry *findSbByTraceIdx(TraceIndex idx) const;
+    /**
+     * Is @p slot still occupied by the instruction with @p seq? The
+     * liveness + identity test every slot-holding index (consumer
+     * lists, loadBytes refs) performs before dereferencing.
+     */
+    bool
+    refLive(size_t slot, InstSeqNum seq) const
+    {
+        return rob.slotLive(slot) && rob.slot(slot).seq == seq;
+    }
     void completeInst(DynInst &inst);
     void broadcastResult(const DynInst &producer);
     void resolveControl(DynInst &inst);
@@ -351,11 +359,10 @@ class Processor
     std::array<RegMapEntry, num_arch_regs> regMap;
 
     /**
-     * The instruction window, SoA-split: full DynInst records plus
-     * dense hot-field mirrors (see cpu/window.hh for the sync
-     * contract; heavyInvariants cross-checks the views at level 2).
+     * The instruction window: one DynInst record per entry, in
+     * program order, with stable slots while resident.
      */
-    Window rob;
+    CircularQueue<DynInst> rob;
     StoreBuffer sb;
     unsigned lsqCount; ///< Memory instructions resident in the window.
 

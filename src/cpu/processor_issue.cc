@@ -45,24 +45,7 @@ Processor::doIssue()
             s = pendingBits.nextSet(0);
             continue;
         }
-        // Cheap rejection off the window's hot-flag array: most
-        // pending instructions are waiting on operands, and the
-        // predicates below reproduce tryIssue's early-outs exactly —
-        // the fat DynInst record is only touched when the instruction
-        // might actually do something this cycle.
-        uint8_t f = rob.flagsAt(s);
-        bool skip;
-        if (f & Window::FlagIsStore) {
-            skip = false; // store posting needs SB state; go in
-        } else if (f & Window::FlagIsLoad) {
-            skip = (f & (Window::FlagDone | Window::FlagMemIssued)) ||
-                   !(f & Window::FlagSrc1Ready);
-        } else {
-            skip = (f & (Window::FlagIssued | Window::FlagDone)) ||
-                   !(f & Window::FlagSrcsReady);
-        }
-        if (!skip)
-            tryIssue(rob.slot(s), slots);
+        tryIssue(rob.slot(s), slots);
         // Advance only after the visit: a selective replay inside it
         // may have set a bit between this slot and the next.
         s = pendingBits.nextSet(s + 1);
@@ -112,11 +95,9 @@ Processor::tryIssue(DynInst &inst, unsigned &slots)
             inst.effAddr =
                 exec::effectiveAddr(inst.si, inst.src1.value);
             if (!loadMayIssue(inst)) {
-                rob.sync(inst); // effAddr + gate verdict
                 noteFalseDepStall(inst);
                 return;
             }
-            rob.sync(inst);
             if (memPortsLeft == 0 || lsqInPortsLeft == 0)
                 return;
             executeLoad(inst);
@@ -142,7 +123,6 @@ Processor::tryIssue(DynInst &inst, unsigned &slots)
         inst.issued = true;
         inst.issuedAt = cycle;
         ++inst.epoch;
-        rob.sync(inst);
         pendingBits.clear(rob.slotOf(inst));
         if (inst.si.writesReg()) {
             inst.result = exec::compute(inst.si, inst.src1.value,
@@ -151,13 +131,9 @@ Processor::tryIssue(DynInst &inst, unsigned &slots)
         InstSeqNum seq = inst.seq;
         uint32_t epoch = inst.epoch;
         eq.scheduleIn(inst.si.latency(), [this, seq, epoch]() {
-            // Precheck through the hot views; the full record is only
-            // touched when the completion is still current.
-            size_t s = rob.findSlot(seq);
-            if (s != Window::npos && rob.epochAt(s) == epoch &&
-                rob.isIssued(s) && !rob.isDone(s)) {
-                completeInst(rob.slot(s));
-            }
+            DynInst *p = findInst(seq);
+            if (p && p->epoch == epoch && p->issued && !p->done)
+                completeInst(*p);
         });
     }
 }
@@ -236,7 +212,7 @@ Processor::gateSync(DynInst &inst)
 {
     if (!inst.hasSyncWait)
         return true;
-    SbEntry *store = findSbEntry(inst.syncWaitStore);
+    SbEntry *store = sb.findSeq(inst.syncWaitStore);
     if (!store || store->seq >= inst.seq) {
         // The store was squashed or has fully retired; nothing to wait
         // for any more.
@@ -263,7 +239,7 @@ Processor::gateOracle(DynInst &inst)
         }
         if (producer < commitCount)
             continue; // the producing store already committed
-        const SbEntry *entry = findSbByTraceIdx(producer);
+        const SbEntry *entry = sb.findTraceIdx(producer);
         if (entry && !entry->executed)
             return false;
     }
@@ -354,12 +330,10 @@ Processor::executeLoad(DynInst &inst)
     uint32_t epoch = inst.epoch + 1;
 
     auto finish = [this, seq, epoch]() {
-        size_t s = rob.findSlot(seq);
-        if (s != Window::npos && rob.epochAt(s) == epoch &&
-            rob.isMemIssued(s) && !rob.isDone(s)) {
-            DynInst &p = rob.slot(s);
-            p.memDone = true;
-            completeInst(p);
+        DynInst *p = findInst(seq);
+        if (p && p->epoch == epoch && p->memIssued && !p->done) {
+            p->memDone = true;
+            completeInst(*p);
         }
     };
 
@@ -393,7 +367,6 @@ Processor::executeLoad(DynInst &inst)
     for (unsigned i = 0; i < inst.memSize; ++i)
         inst.loadByteSource[i] = sources[i];
     inst.result = exec::loadExtend(inst.si, raw);
-    rob.sync(inst);
     indexLoadBytes(inst);
     // Issued: completion arrives through the event queue; violation
     // checks reach the load through loadBytes, not the issue walk.
@@ -423,7 +396,6 @@ Processor::replayLoad(DynInst &inst)
     inst.memIssued = false;
     inst.memDone = false;
     inst.done = false;
-    rob.sync(inst);
     pendingBits.set(rob.slotOf(inst));
     ++inst.timesReplayed;
     ++pstats.loadReplays;
@@ -473,7 +445,6 @@ Processor::postStoreAddr(DynInst &inst)
     }
     sb.postAddr(slot, addr, visible_at, cycle);
     inst.effAddr = addr;
-    rob.sync(inst);
     CWSIM_TRACE(LSQ, "store addr posted: seq %llu pc 0x%llx "
                 "addr 0x%llx visible at cycle %llu",
                 static_cast<unsigned long long>(inst.seq),
@@ -506,7 +477,6 @@ Processor::storeBecameExecuted(DynInst &inst, SbEntry &entry)
     inst.issued = true;
     inst.done = true;
     inst.issuedAt = cycle;
-    rob.sync(inst);
     pendingBits.clear(rob.slotOf(inst));
 
     if (policy != SpecPolicy::Oracle) {
@@ -581,13 +551,10 @@ Processor::checkViolationsNas(const SbEntry &entry)
         if (ref.seq == visited)
             continue; // one ref per byte read; visit each load once
         visited = ref.seq;
-        // Validate through the hot views before touching the record.
-        if (!rob.refLive(ref.slot, ref.seq) ||
-            !rob.isMemIssuedLoad(ref.slot)) {
+        if (!refLive(ref.slot, ref.seq))
             continue;
-        }
         DynInst &load = rob.slot(ref.slot);
-        if (!loadHasStaleByteFrom(load, entry))
+        if (!load.memIssued || !loadHasStaleByteFrom(load, entry))
             continue; // every shared byte came from a younger store
 
         ++pstats.memOrderViolations;
@@ -654,7 +621,6 @@ Processor::resetForReplay(DynInst &inst)
     inst.memDone = false;
     inst.effAddr = invalid_addr;
     ++inst.timesReplayed;
-    rob.sync(inst);
     pendingBits.set(rob.slotOf(inst));
 
     if (inst.isStore() && inst.sbSlot >= 0) {
@@ -710,7 +676,7 @@ Processor::replayDependenceSlice(DynInst &victim)
         // stale value (issued, or posted it into the store buffer)
         // must replay.
         for (const ConsumerRef &ref : consumers[rob.slotOf(*inst)]) {
-            if (!rob.refLive(ref.slot, ref.seq))
+            if (!refLive(ref.slot, ref.seq))
                 continue;
             DynInst &c = rob.slot(ref.slot);
             bool consumes =
@@ -731,12 +697,10 @@ Processor::replayDependenceSlice(DynInst &victim)
                 loadBytes.collectYoungerThan(se.addr, se.size, seq,
                                              readers);
                 for (const ByteSeqIndex::Ref &ref : readers) {
-                    if (!rob.refLive(ref.slot, ref.seq) ||
-                        !rob.isMemIssuedLoad(ref.slot)) {
+                    if (!refLive(ref.slot, ref.seq))
                         continue;
-                    }
                     DynInst &c = rob.slot(ref.slot);
-                    if (loadForwardedFrom(c, seq))
+                    if (c.memIssued && loadForwardedFrom(c, seq))
                         work.push_back(c.seq);
                 }
             }
@@ -792,12 +756,10 @@ Processor::checkStaleLoadsAs(const SbEntry &entry)
         if (ref.seq == visited)
             continue; // one ref per byte; visit each load once
         visited = ref.seq;
-        if (!rob.refLive(ref.slot, ref.seq) ||
-            !rob.isMemIssuedLoad(ref.slot)) {
+        if (!refLive(ref.slot, ref.seq))
             continue;
-        }
         DynInst &load = rob.slot(ref.slot);
-        if (!loadHasStaleByteFrom(load, entry))
+        if (!load.memIssued || !loadHasStaleByteFrom(load, entry))
             continue;
 
         uint64_t correct = assembleLoadBytes(load.effAddr, load.memSize,
@@ -856,7 +818,7 @@ Processor::noteFalseDepStall(DynInst &inst)
         TraceIndex p = inst.oracleProducers[i];
         if (p >= inst.traceIdx || p < commitCount)
             continue;
-        const SbEntry *producer = findSbByTraceIdx(p);
+        const SbEntry *producer = sb.findTraceIdx(p);
         if (producer && !producer->executed) {
             true_dep = true;
             break;

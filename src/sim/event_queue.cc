@@ -14,87 +14,29 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
              "event scheduled in the past (when=%llu, now=%llu)",
              static_cast<unsigned long long>(when),
              static_cast<unsigned long long>(curTick_));
-    Entry e{when, priority, nextSeq++, std::move(cb)};
-    if (when - curTick_ < horizon) {
-        ring[bucketOf(when)].push_back(std::move(e));
-        ++nearCount;
-        if (when < nextNear)
-            nextNear = when;
-    } else {
-        far.push(std::move(e));
-    }
-    ++numPending;
+    heap.push_back(Entry{when, priority, nextSeq++, std::move(cb)});
+    std::push_heap(heap.begin(), heap.end(), Later{});
     ++numScheduled;
 }
 
-Tick
-EventQueue::nextEventTick()
-{
-    Tick best = ~Tick(0);
-    if (nearCount) {
-        // Resume the bucket scan at the lower bound proven by the
-        // previous scan; buckets are only ever re-examined after new
-        // events land in them, so the scan is O(1) amortized.
-        Tick t = std::max(nextNear, curTick_);
-        while (ring[bucketOf(t)].empty())
-            ++t;
-        nextNear = t;
-        best = t;
-    }
-    if (!far.empty() && far.top().when < best)
-        best = far.top().when;
-    return best;
-}
-
 void
-EventQueue::fireTick(Tick t)
+EventQueue::fireNext()
 {
-    curTick_ = t;
-    std::vector<Entry> &bucket = ring[bucketOf(t)];
-    nearCount -= bucket.size();
-    for (Entry &e : bucket) {
-        firing.push_back(std::move(e));
-        std::push_heap(firing.begin(), firing.end(), Later{});
-    }
-    bucket.clear();
-    while (!far.empty() && far.top().when == t) {
-        firing.push_back(std::move(const_cast<Entry &>(far.top())));
-        far.pop();
-        std::push_heap(firing.begin(), firing.end(), Later{});
-    }
-
-    while (!firing.empty()) {
-        std::pop_heap(firing.begin(), firing.end(), Later{});
-        Entry e = std::move(firing.back());
-        firing.pop_back();
-        --numPending;
-        ++numFired;
-        e.cb();
-        // The callback may have scheduled follow-up events at the
-        // current tick; they must interleave with the remaining events
-        // in (priority, insertion-order) order, exactly as the old
-        // single-heap implementation fired them.
-        std::vector<Entry> &refill = ring[bucketOf(t)];
-        if (!refill.empty()) {
-            nearCount -= refill.size();
-            for (Entry &n : refill) {
-                firing.push_back(std::move(n));
-                std::push_heap(firing.begin(), firing.end(), Later{});
-            }
-            refill.clear();
-        }
-    }
+    // Take the entry out of the heap before firing: the callback may
+    // schedule new events, which can reallocate the vector.
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    Entry e = std::move(heap.back());
+    heap.pop_back();
+    curTick_ = e.when;
+    ++numFired;
+    e.cb();
 }
 
 void
 EventQueue::runUntil(Tick now)
 {
-    while (numPending) {
-        Tick t = nextEventTick();
-        if (t > now)
-            break;
-        fireTick(t);
-    }
+    while (!heap.empty() && heap.front().when <= now)
+        fireNext();
     if (curTick_ < now)
         curTick_ = now;
 }
@@ -102,22 +44,16 @@ EventQueue::runUntil(Tick now)
 void
 EventQueue::drain()
 {
-    while (numPending)
-        fireTick(nextEventTick());
+    while (!heap.empty())
+        fireNext();
 }
 
 void
 EventQueue::reset()
 {
-    for (std::vector<Entry> &bucket : ring)
-        bucket.clear();
-    far = decltype(far)();
-    firing.clear();
+    heap.clear();
     curTick_ = 0;
     nextSeq = 0;
-    numPending = 0;
-    nearCount = 0;
-    nextNear = 0;
     // Counters too: a reused queue must not bleed scheduled/fired
     // counts from a previous run into the next one's statistics.
     numScheduled = 0;

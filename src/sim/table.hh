@@ -23,7 +23,7 @@ class TextTable
     /** Append a fully formatted row (must match the column count). */
     void addRow(std::vector<std::string> row);
 
-    /** Insert a horizontal separator before the next row. */
+    /** Insert a separator rule before the next row. */
     void addSeparator();
 
     /** Render with per-column alignment (left col 0, right others). */

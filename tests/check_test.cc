@@ -303,18 +303,19 @@ TEST(WatchdogTrip, HealthyRunNeverTrips)
 }
 
 // ---------------------------------------------------------------- //
-// Window churn keeps the SoA mirror coherent                       //
+// Window churn keeps the level-2 indexes coherent                  //
 // ---------------------------------------------------------------- //
 
-TEST(WindowChurn, SoaMirrorSurvivesFillSquashRefill)
+TEST(WindowChurn, Level2InvariantsSurviveFillSquashRefill)
 {
     // Hammer the window through fill/squash/refill churn under both
     // recovery models with the level-2 checker on: a small window
     // keeps constant fill pressure, and a high spurious-violation
     // rate storms the recovery machinery. Every cycle the heavy
-    // invariants rebuild the window's structure-of-arrays mirror
-    // from the canonical DynInst records (Window::crossCheck), so a
-    // hot-field write that misses its sync() fails the run here.
+    // invariants rebuild the pending-issue bitmap, the loadBytes
+    // index, the consumer lists and the store buffer's indexes from
+    // the window and compare, so an update that a squash or replay
+    // misses fails the run here.
     harness::Runner runner(20'000);
     for (RecoveryModel recovery :
          {RecoveryModel::Squash, RecoveryModel::Selective}) {

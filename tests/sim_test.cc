@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/jsonl.hh"
+#include "base/random.hh"
 #include "sim/config.hh"
 #include "sim/config_parse.hh"
 #include "sim/event_queue.hh"
@@ -120,8 +123,8 @@ TEST(EventQueueTest, ResetClearsCounters)
 
 TEST(EventQueueTest, FarFutureEventsInterleaveWithNearOnes)
 {
-    // Events beyond the calendar ring's horizon take the far-heap lane;
-    // they must still fire in global (tick, priority, insertion) order.
+    // Events hundreds to thousands of ticks out, scheduled out of
+    // order, fire in global (tick, priority, insertion) order.
     EventQueue eq;
     std::vector<Tick> fired_at;
     auto rec = [&] { fired_at.push_back(eq.curTick()); };
@@ -140,15 +143,14 @@ TEST(EventQueueTest, FarFutureEventsInterleaveWithNearOnes)
 
 TEST(EventQueueTest, SameTickOrderSpansBothLanes)
 {
-    // Two events at the same tick, one scheduled while the tick was
-    // beyond the horizon (far lane) and one scheduled later from
-    // nearby (ring lane): priority then insertion order must still
-    // decide, exactly as with the single heap.
+    // Two events at the same tick, one scheduled far ahead of it and
+    // two scheduled later from nearby: priority then insertion order
+    // decide, not when or from where they were scheduled.
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(400, [&] { order.push_back(1); }, 1); // far at schedule time
+    eq.schedule(400, [&] { order.push_back(1); }, 1); // 400 ticks ahead
     eq.schedule(200, [&] {
-        eq.schedule(400, [&] { order.push_back(0); }, 0); // near lane
+        eq.schedule(400, [&] { order.push_back(0); }, 0); // 200 ahead
         eq.schedule(400, [&] { order.push_back(2); }, 1);
     });
     eq.runUntil(400);
@@ -156,6 +158,67 @@ TEST(EventQueueTest, SameTickOrderSpansBothLanes)
     EXPECT_EQ(order[0], 0);
     EXPECT_EQ(order[1], 1);
     EXPECT_EQ(order[2], 2);
+}
+
+namespace
+{
+
+/**
+ * Schedules seeded random events and records the order they fire in.
+ * A callback may schedule follow-ups, always at a later tick or at its
+ * own tick with no lower priority, so each follow-up sorts after the
+ * event that scheduled it.
+ */
+struct OrderProbe
+{
+    EventQueue eq;
+    Random rng{42};
+    /** (when, priority) of every scheduled event, by insertion. */
+    std::vector<std::pair<Tick, int>> keys;
+    std::vector<size_t> fired;
+
+    void
+    add(Tick when, int priority)
+    {
+        size_t id = keys.size();
+        keys.emplace_back(when, priority);
+        eq.schedule(when, [this, id] { fire(id); }, priority);
+    }
+
+    void
+    fire(size_t id)
+    {
+        fired.push_back(id);
+        EXPECT_EQ(eq.curTick(), keys[id].first);
+        if (keys.size() >= 600 || !rng.chance(0.3))
+            return;
+        auto [when, priority] = keys[id];
+        add(when, static_cast<int>(rng.range(priority, 1)));
+        add(when + 1 + rng.below(50), static_cast<int>(rng.range(-1, 1)));
+    }
+};
+
+} // namespace
+
+TEST(EventQueueTest, FiringOrderMatchesSortedReference)
+{
+    OrderProbe p;
+    for (int i = 0; i < 300; ++i)
+        p.add(p.rng.below(1001), static_cast<int>(p.rng.range(-1, 1)));
+    for (Tick t = 0; !p.eq.empty(); t += 37)
+        p.eq.runUntil(t);
+
+    // Every event fires, in the order of a stable sort of all scheduled
+    // events by (when, priority): insertion order breaks ties.
+    std::vector<size_t> want(p.keys.size());
+    std::iota(want.begin(), want.end(), size_t(0));
+    std::stable_sort(want.begin(), want.end(), [&](size_t a, size_t b) {
+        return p.keys[a] < p.keys[b];
+    });
+    EXPECT_GT(p.keys.size(), 300u); // callbacks scheduled follow-ups
+    EXPECT_EQ(p.fired, want);
+    EXPECT_EQ(p.eq.scheduledCount(), p.keys.size());
+    EXPECT_EQ(p.eq.firedCount(), p.keys.size());
 }
 
 TEST(StatsTest, ScalarAccumulates)
