@@ -26,25 +26,11 @@ namespace cwsim
 namespace check
 {
 
-/**
- * Host-level fault verdict for one cycle. Unlike the performance-only
- * faults, executing one of these kills or wedges the host process —
- * they exist so the --isolate sweep executor's containment (crash /
- * timeout / oom classification) can be tested deterministically.
- */
-enum class HostFault
-{
-    None,
-    Crash, ///< abort(): the child dies with SIGABRT.
-    Hang,  ///< Infinite spin: only a wall-clock timeout ends it.
-    Alloc, ///< Allocation storm: grows until RLIMIT_AS / OOM kills it.
-};
-
 class FaultInjector
 {
   public:
     explicit FaultInjector(const FaultConfig &cfg)
-        : cfg(cfg), rng(cfg.seed), armed(cfg.any() || cfg.hostAny())
+        : cfg(cfg), rng(cfg.seed), armed(cfg.any())
     {}
 
     bool enabled() const { return armed; }
@@ -73,26 +59,6 @@ class FaultInjector
     injectMdptCorrupt()
     {
         return armed && draw(cfg.mdptCorruptRate);
-    }
-
-    /**
-     * Once per cycle: should a host-level fault fire, and which one?
-     * Rates of 0 consume no PRNG state, so arming only host faults
-     * leaves the performance-fault storm (and with no other rates set,
-     * the simulation itself) bit-identical until the fault fires.
-     */
-    HostFault
-    drawHostFault()
-    {
-        if (!armed)
-            return HostFault::None;
-        if (draw(cfg.hostCrashRate))
-            return HostFault::Crash;
-        if (draw(cfg.hostHangRate))
-            return HostFault::Hang;
-        if (draw(cfg.hostAllocRate))
-            return HostFault::Alloc;
-        return HostFault::None;
     }
 
     /** Raw PRNG for pickers (victim selection, scramble values). */

@@ -244,8 +244,6 @@ Processor::tick()
 
     if (usesMdpt && faults.enabled())
         injectMdptFaults();
-    if (faults.enabled())
-        executeHostFault(faults.drawHostFault());
 
     if (checkLevel > 0) {
         checkInvariants();

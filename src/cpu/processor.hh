@@ -265,12 +265,6 @@ class Processor
     void injectSpuriousViolation(const SbEntry &entry);
     /** Fault injection: per-cycle MDPT drop/corrupt draws. */
     void injectMdptFaults();
-    /**
-     * Fault injection: execute a host-level fault (abort / spin /
-     * allocation storm). Never returns for anything but
-     * HostFault::None — containment is the --isolate executor's job.
-     */
-    void executeHostFault(check::HostFault fault);
 
     // ---- shared helpers ----------------------------------------------
     DynInst *findInst(InstSeqNum seq);

@@ -6,10 +6,8 @@
  * points that storm the miss-speculation recovery machinery.
  */
 
-#include <cstdlib>
-#include <memory>
+#include <algorithm>
 #include <sstream>
-#include <vector>
 
 #include "base/logging.hh"
 #include "cpu/processor.hh"
@@ -394,47 +392,6 @@ Processor::injectSpuriousViolation(const SbEntry &entry)
     squashYoungerThan(victim->seq - 1, restart_pc, restart_idx,
                       /*repair_bpred=*/true,
                       SquashCause::InjectedViolation);
-}
-
-void
-Processor::executeHostFault(check::HostFault fault)
-{
-    // These faults deliberately take the process down (or wedge it);
-    // the warn() line is the last breadcrumb a contained child leaves
-    // on stderr before the --isolate parent classifies its demise.
-    switch (fault) {
-      case check::HostFault::None:
-        return;
-      case check::HostFault::Crash:
-        warn("fault injector: host crash (abort) at cycle %llu",
-             static_cast<unsigned long long>(cycle));
-        std::abort();
-      case check::HostFault::Hang: {
-        warn("fault injector: host hang (infinite spin) at cycle %llu",
-             static_cast<unsigned long long>(cycle));
-        volatile uint64_t spin = 0;
-        for (;;)
-            spin = spin + 1;
-      }
-      case check::HostFault::Alloc: {
-        warn("fault injector: host allocation storm at cycle %llu",
-             static_cast<unsigned long long>(cycle));
-        // Raw new[] (no value-init) with a sparse touch: the storm
-        // must burn address space fast — RLIMIT_AS and the overcommit
-        // heuristics care about mappings, and zero-filling them first
-        // would let a wall-clock timeout win the race and misclassify
-        // the fault — while still dirtying enough pages that the
-        // kernel's OOM killer notices when no rlimit is set.
-        std::vector<std::unique_ptr<char[]>> hoard;
-        constexpr size_t chunk = 16u << 20;
-        for (;;) {
-            hoard.emplace_back(new char[chunk]);
-            char *p = hoard.back().get();
-            for (size_t off = 0; off < chunk; off += 1u << 20)
-                p[off] = static_cast<char>(off);
-        }
-      }
-    }
 }
 
 void

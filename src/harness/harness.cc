@@ -18,50 +18,6 @@ namespace cwsim
 namespace harness
 {
 
-const char *
-toString(FailKind kind)
-{
-    switch (kind) {
-      case FailKind::None:
-        return "none";
-      case FailKind::SimError:
-        return "sim_error";
-      case FailKind::Crash:
-        return "crash";
-      case FailKind::Timeout:
-        return "timeout";
-      case FailKind::Oom:
-        return "oom";
-      case FailKind::Protocol:
-        return "protocol";
-    }
-    return "none";
-}
-
-bool
-failKindFromString(const std::string &text, FailKind &out)
-{
-    for (FailKind k :
-         {FailKind::None, FailKind::SimError, FailKind::Crash,
-          FailKind::Timeout, FailKind::Oom, FailKind::Protocol}) {
-        if (text == toString(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string
-RunResult::failLabel() const
-{
-    if (failKind == FailKind::None)
-        return "-";
-    if (failDetail.empty())
-        return toString(failKind);
-    return strfmt("%s(%s)", toString(failKind), failDetail.c_str());
-}
-
 Runner::Runner(uint64_t scale) : runScale(scale)
 {
 }
@@ -200,7 +156,6 @@ Runner::run(const std::string &name, const SimConfig &cfg)
     } catch (const SimError &e) {
         stamp_wall();
         r.ok = false;
-        r.failKind = FailKind::SimError;
         r.error = e.summary();
         // The last few flight-recorder events (the dump's tail) make
         // the FAILED RUNS row self-diagnosing.
@@ -225,10 +180,6 @@ collectFailures(const Runner &runner)
                   return std::tie(a.workload, a.config, a.error) <
                          std::tie(b.workload, b.config, b.error);
               });
-    for (const RunResult &f : summary.failures) {
-        if (f.injectedHostFault)
-            ++summary.injected;
-    }
     return summary;
 }
 

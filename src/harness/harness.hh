@@ -28,29 +28,6 @@ namespace cwsim
 namespace harness
 {
 
-/**
- * First-class failure taxonomy for a run. SimError is the in-process
- * fail-soft class PR 1 introduced (watchdog, invariant, equivalence…);
- * the host-level classes (Crash, Timeout, Oom, Protocol) can only be
- * observed by the --isolate sweep executor, which runs each simulation
- * in a sandboxed child process and classifies how the child died.
- */
-enum class FailKind
-{
-    None,     ///< The run completed (ok == true).
-    SimError, ///< In-process SimError caught by the fail-soft harness.
-    Crash,    ///< Child killed by a signal or a nonzero exit.
-    Timeout,  ///< Wall-clock deadline (SIGKILL) or RLIMIT_CPU.
-    Oom,      ///< Allocation failure under RLIMIT_AS or the OOM killer.
-    Protocol, ///< Child exited 0 but its result record was unreadable.
-};
-
-/** Stable wire/text name: "none", "sim_error", "crash", ... */
-const char *toString(FailKind kind);
-
-/** Parse a toString(FailKind) name back; false on unknown text. */
-bool failKindFromString(const std::string &text, FailKind &out);
-
 /** Everything a bench needs from one (workload, config) timing run. */
 struct RunResult
 {
@@ -89,21 +66,6 @@ struct RunResult
     bool ok = true;
     /** One-line failure summary (empty when ok). */
     std::string error;
-    /** How the run failed (None when ok). */
-    FailKind failKind = FailKind::None;
-    /**
-     * Kind-specific detail: the signal name for a crash ("SIGSEGV"),
-     * "exit=N" for a nonzero exit, the deadline for a timeout…
-     */
-    std::string failDetail;
-    /**
-     * True when the failure was provoked by an armed host-fault
-     * injection mode (check.faults.host*Rate): the run died exactly as
-     * designed, so containment benches report it in FAILED RUNS without
-     * counting it as a campaign failure (reportFailures() skips it when
-     * deciding the exit code).
-     */
-    bool injectedHostFault = false;
     /**
      * Failure diagnostics: the last few flight-recorder events (or
      * whatever dump the SimError carried), so a FAILED RUNS row is
@@ -125,13 +87,6 @@ struct RunResult
     // Host-side profiling (not part of the simulated result; excluded
     // from determinism comparisons).
     double wallMs = 0;     ///< Wall-clock time of this run.
-    /**
-     * Host-side time the run spent waiting to execute (the --isolate
-     * pool's queue, enqueue to final fork), as opposed to wallMs
-     * which is the execute time itself. 0 for runs outside --isolate;
-     * a cache hit carries the value stored with its record.
-     */
-    double queueMs = 0;
     bool cacheHit = false; ///< Served from the sweep's run cache.
 
     double
@@ -169,12 +124,6 @@ struct RunResult
             ? static_cast<double>(falseDepLoads) / committedLoads
             : 0;
     }
-
-    /**
-     * Rendered failure kind for tables: "-" when ok, "sim_error", or
-     * "crash(SIGSEGV)"-style kind(detail) for host-level failures.
-     */
-    std::string failLabel() const;
 
     /** True when this record carries CPI-stack data (schema >= v3). */
     bool hasCpiStack() const { return commitWidth != 0; }
@@ -271,25 +220,16 @@ class Runner
 
 /**
  * A campaign's failed runs, collected for reporting: sorted by
- * (workload, config) so parallel sweeps summarize deterministically,
- * with the injected-host-fault tally split out. Pure data — rendering
- * (the FAILED RUNS table) lives in sweep::reportFailures() so this
- * library stays printf-free.
+ * (workload, config) so parallel sweeps summarize deterministically.
+ * Pure data — rendering (the FAILED RUNS table) lives in
+ * sweep::reportFailures() so this library stays printf-free.
  */
 struct FailureSummary
 {
     /** Every failed run, sorted by (workload, config, error). */
     std::vector<RunResult> failures;
-    /** How many of them were armed host-fault injections. */
-    size_t injected = 0;
 
     bool empty() const { return failures.empty(); }
-    /**
-     * Failures that count against the campaign: injected host faults
-     * died exactly as designed, so a containment bench that killed
-     * only the runs it armed faults on still exits 0.
-     */
-    size_t unexpected() const { return failures.size() - injected; }
 };
 
 /** Snapshot @p runner's failed runs as a sorted FailureSummary. */

@@ -442,9 +442,9 @@ DepProfManager::writeRun(const DepProfile &prof)
         return;
     }
     // One block per run, appended as a single write(2): the mutex
-    // covers in-process sweep workers, and O_APPEND covers isolated
-    // (forked) workers sharing the file — either way the validator
-    // never sees interleaved lines. Not stdio: fwrite splits a block
+    // covers in-process sweep workers, and O_APPEND covers separate
+    // processes sharing the file — either way the validator never
+    // sees interleaved lines. Not stdio: fwrite splits a block
     // larger than its buffer into several writes, and another
     // process's block can land between them.
     ssize_t n;

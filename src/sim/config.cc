@@ -179,13 +179,7 @@ serializeConfig(const SimConfig &cfg)
        << "check.faults.mdptDropRate=" << f64(faults.mdptDropRate)
        << '\n'
        << "check.faults.mdptCorruptRate="
-       << f64(faults.mdptCorruptRate) << '\n'
-       << "check.faults.hostCrashRate=" << f64(faults.hostCrashRate)
-       << '\n'
-       << "check.faults.hostHangRate=" << f64(faults.hostHangRate)
-       << '\n'
-       << "check.faults.hostAllocRate=" << f64(faults.hostAllocRate)
-       << '\n';
+       << f64(faults.mdptCorruptRate) << '\n';
 
     os << "maxInsts=" << cfg.maxInsts << '\n'
        << "maxCycles=" << cfg.maxCycles << '\n';

@@ -185,33 +185,11 @@ struct FaultConfig
      * confidence/synonym (the predictor must stay prediction-only). */
     double mdptCorruptRate = 0;
 
-    // Host-level fault modes (per-cycle rates, same seeded PRNG).
-    // Unlike the performance-only faults above, these kill or wedge the
-    // host process itself: abort(), an infinite spin, or a pathological
-    // allocation storm. They exist to prove the --isolate sweep
-    // executor contains and classifies them (crash / timeout / oom);
-    // firing one outside an isolated child takes the process down, by
-    // design.
-    /** Per cycle: chance of calling abort() (SIGABRT crash). */
-    double hostCrashRate = 0;
-    /** Per cycle: chance of spinning forever (wall-clock hang). */
-    double hostHangRate = 0;
-    /** Per cycle: chance of an unbounded allocation storm (OOM). */
-    double hostAllocRate = 0;
-
     bool
     any() const
     {
         return spuriousViolationRate > 0 || storeAddrDelayRate > 0 ||
                mdptDropRate > 0 || mdptCorruptRate > 0;
-    }
-
-    /** Any host-level (process-killing) fault mode armed? */
-    bool
-    hostAny() const
-    {
-        return hostCrashRate > 0 || hostHangRate > 0 ||
-               hostAllocRate > 0;
     }
 };
 

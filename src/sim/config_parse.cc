@@ -168,12 +168,6 @@ setters()
                   c.check.faults.mdptDropRate),
         F64_FIELD("check.faults.mdptCorruptRate",
                   c.check.faults.mdptCorruptRate),
-        F64_FIELD("check.faults.hostCrashRate",
-                  c.check.faults.hostCrashRate),
-        F64_FIELD("check.faults.hostHangRate",
-                  c.check.faults.hostHangRate),
-        F64_FIELD("check.faults.hostAllocRate",
-                  c.check.faults.hostAllocRate),
         // Run control.
         U64_FIELD("maxInsts", c.maxInsts),
         U64_FIELD("maxCycles", c.maxCycles),

@@ -12,7 +12,6 @@
 #include "sim/config_parse.hh"
 #include "sim/table.hh"
 #include "sweep/report.hh"
-#include "sweep/run_cache.hh"
 
 namespace cwsim
 {
@@ -68,23 +67,8 @@ printUsage(const char *prog, std::FILE *out)
         {"--cpi-stack",
          "print the per-run CPI stack (commit-slot losses)",
          "CWSIM_CPI_STACK"},
-        {"--isolate",
-         "sandbox each run in a child process (contain crashes)",
-         "CWSIM_ISOLATE"},
-        {"--timeout S",
-         "wall-clock deadline per isolated run, seconds (0 = none)",
-         "CWSIM_TIMEOUT"},
-        {"--mem-limit MB",
-         "address-space cap per isolated run, MiB (0 = none)",
-         "CWSIM_MEM_LIMIT"},
-        {"--retries N",
-         "retries for host-level failures of an isolated run",
-         "CWSIM_RETRIES"},
         {"--set K=V",
          "apply a config override to every job (repeatable)", "-"},
-        {"--cache-fsck", "scan the run cache, report, and exit", "-"},
-        {"--cache-compact",
-         "drop superseded run-cache records and exit", "-"},
         {"--help", "this message", "-"},
     };
     std::fprintf(out, "usage: %s [options]\n", prog);
@@ -108,37 +92,6 @@ parseCount(const char *flag, const std::string &value, uint64_t min)
     return v;
 }
 
-double
-parseSeconds(const char *flag, const std::string &value)
-{
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    fatal_if(value.empty() || *end != '\0' || errno == ERANGE ||
-             !(v >= 0),
-             "%s: not a non-negative number of seconds: '%s'", flag,
-             value.c_str());
-    return v;
-}
-
-/** CWSIM_TIMEOUT-style fractional-seconds env knob. */
-double
-envSeconds(const char *name, double fallback)
-{
-    const char *text = std::getenv(name);
-    if (!text || !*text)
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (*end != '\0' || errno == ERANGE || !(v >= 0)) {
-        warn("%s: not a non-negative number: '%s' (using %g)", name,
-             text, fallback);
-        return fallback;
-    }
-    return v;
-}
-
 } // anonymous namespace
 
 BenchOptions
@@ -147,11 +100,6 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
     BenchOptions opts;
     opts.scale = defaultScale ? defaultScale : harness::benchScale();
     opts.cpiStack = envUint64("CWSIM_CPI_STACK", 0, 0) != 0;
-    opts.isolate = envUint64("CWSIM_ISOLATE", 0, 0) != 0;
-    opts.timeoutSec = envSeconds("CWSIM_TIMEOUT", 0);
-    opts.memLimitMb = envUint64("CWSIM_MEM_LIMIT", 0, 0);
-    opts.retries = static_cast<unsigned>(
-        envUint64("CWSIM_RETRIES", 0, 1));
     // A shared corpus: point every bench at one cache directory
     // without threading a flag through each invocation. --cache-dir
     // still overrides.
@@ -212,26 +160,11 @@ parseBenchArgs(int argc, char **argv, uint64_t defaultScale)
             opts.depprof = true;
         } else if (arg == "--cpi-stack") {
             opts.cpiStack = true;
-        } else if (arg == "--isolate") {
-            opts.isolate = true;
-        } else if (arg == "--timeout") {
-            opts.timeoutSec =
-                parseSeconds("--timeout", value(i, "--timeout"));
-        } else if (arg == "--mem-limit") {
-            opts.memLimitMb =
-                parseCount("--mem-limit", value(i, "--mem-limit"), 0);
-        } else if (arg == "--retries") {
-            opts.retries = static_cast<unsigned>(
-                parseCount("--retries", value(i, "--retries"), 0));
         } else if (arg == "--set") {
             // Validation happens when the override is applied (it
             // needs a config to apply to); a bad key is still fatal
             // before any simulation runs.
             opts.configOverrides.push_back(value(i, "--set"));
-        } else if (arg == "--cache-fsck") {
-            opts.cacheFsck = true;
-        } else if (arg == "--cache-compact") {
-            opts.cacheCompact = true;
         } else if (arg == "--help" || arg == "-h") {
             printUsage(argv[0], stdout);
             std::exit(0);
@@ -288,32 +221,12 @@ BenchCli::BenchCli(int argc, char **argv, uint64_t defaultScale)
     if (opts.depprof)
         obs::DepProfManager::instance().enable(opts.depprofFile);
 
-    // Cache maintenance short-circuits the bench entirely: report (or
-    // rewrite) and exit before any workload is even built.
-    if (opts.cacheFsck) {
-        CacheFsckReport rep = fsckRunCache(opts.cacheDir);
-        std::printf("%s\n", rep.summary().c_str());
-        std::exit(rep.clean() ? 0 : 1);
-    }
-    if (opts.cacheCompact) {
-        std::string err;
-        CacheFsckReport rep;
-        fatal_if(!compactRunCache(opts.cacheDir, &err, &rep),
-                 "--cache-compact: %s", err.c_str());
-        std::printf("%s\n", rep.summary().c_str());
-        std::exit(0);
-    }
-
     theRunner = std::make_unique<harness::Runner>(opts.scale);
     SweepOptions sopts;
     sopts.jobs = opts.jobs;
     sopts.useCache = opts.cache;
     sopts.cacheDir = opts.cacheDir;
     sopts.jsonPath = opts.jsonPath;
-    sopts.isolate = opts.isolate;
-    sopts.timeoutSec = opts.timeoutSec;
-    sopts.memLimitMb = opts.memLimitMb;
-    sopts.retries = opts.retries;
     theEngine = std::make_unique<SweepEngine>(*theRunner, sopts);
 }
 

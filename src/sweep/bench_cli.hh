@@ -32,21 +32,8 @@
  *   --depprof-file P  dependence-profile path (implies --depprof)
  *   --cpi-stack     print a per-(workload, config) CPI-stack table
  *                   (commit-slot loss breakdown) after the sweep
- *   --isolate       run each simulation in a sandboxed child process:
- *                   crashes, hangs, and OOMs are contained, classified
- *                   (FAILED RUNS kind column), and retried instead of
- *                   killing the bench (see src/sweep/isolate.hh)
- *   --timeout S     wall-clock deadline per isolated run, seconds
- *                   (fractional OK; 0 = none)
- *   --mem-limit MB  RLIMIT_AS cap per isolated run, MiB (0 = none)
- *   --retries N     retry budget for host-level failures of an
- *                   isolated run (default 1; sim_errors never retry)
  *   --set K=V       apply one config override (config_parse.hh key) to
  *                   every job of the sweep; repeatable
- *   --cache-fsck    scan the run cache, print a report, exit (0 iff
- *                   nothing but valid records)
- *   --cache-compact rewrite the run cache keeping only the newest
- *                   record per fingerprint, then exit
  *   --help          usage (lists each flag's env-var equivalent)
  *
  * Every value-taking flag also accepts --flag=value. Unknown flags
@@ -99,22 +86,12 @@ struct BenchOptions
      */
     bool cpiStack = false;
 
-    // Process isolation (see sweep/isolate.hh for semantics).
-    bool isolate = false;     ///< --isolate / CWSIM_ISOLATE=1.
-    double timeoutSec = 0;    ///< --timeout / CWSIM_TIMEOUT (seconds).
-    uint64_t memLimitMb = 0;  ///< --mem-limit / CWSIM_MEM_LIMIT (MiB).
-    unsigned retries = 1;     ///< --retries / CWSIM_RETRIES.
-
     /**
      * --set key=value overrides, applied in order to every job's
      * config before the sweep runs. Unlike tracing these DO change
      * run-cache fingerprints — an overridden run is a different run.
      */
     std::vector<std::string> configOverrides;
-
-    // Run-cache maintenance actions: perform and exit, no sweep.
-    bool cacheFsck = false;    ///< --cache-fsck.
-    bool cacheCompact = false; ///< --cache-compact.
 };
 
 /**
@@ -163,8 +140,7 @@ class BenchCli
     /**
      * Report failures and a sweep summary (stderr, so stdout tables
      * stay byte-identical across --jobs values).
-     * @return the bench's exit code: non-zero iff any run failed
-     * unexpectedly (injected host faults are contained, not counted).
+     * @return the bench's exit code: non-zero iff any run failed.
      */
     int finish();
 

@@ -814,15 +814,11 @@ renderReport(const std::vector<ReportRecord> &records,
     // ---- Failed runs -------------------------------------------------
     {
         Table t;
-        t.header = {"workload", "config", "kind", "error"};
+        t.header = {"workload", "config", "error"};
         for (const auto &[key, rec] : idx.byKey) {
             if (!rec->run.ok) {
-                std::string kind = rec->run.failLabel();
-                if (rec->run.injectedHostFault)
-                    kind += " [injected]";
                 t.rows.push_back(
-                    {rec->run.workload, rec->run.config,
-                     std::move(kind), rec->run.error});
+                    {rec->run.workload, rec->run.config, rec->run.error});
             }
         }
         if (!t.rows.empty()) {
@@ -1127,11 +1123,6 @@ diffRunRecords(const std::vector<ReportRecord> &baseline,
         diffField(d, key, "ok", rb.ok ? "true" : "false",
                   rc.ok ? "true" : "false");
         diffField(d, key, "error", rb.error, rc.error);
-        // Compare the failure class but not fail_detail: the detail
-        // text can be host-dependent (signal spelling, limits), while
-        // the kind must not drift.
-        diffField(d, key, "fail_kind", harness::toString(rb.failKind),
-                  harness::toString(rc.failKind));
         diffU64(d, key, "cycles", rb.cycles, rc.cycles);
         diffU64(d, key, "commits", rb.commits, rc.commits);
         diffU64(d, key, "committedLoads", rb.committedLoads,
@@ -1225,19 +1216,10 @@ reportFailures(const harness::FailureSummary &summary)
 
     std::printf("\nFAILED RUNS (%zu):\n", fails.size());
     TextTable table;
-    table.setHeader({"workload", "config", "kind", "error"});
-    for (const auto &f : fails) {
-        std::string kind = f.failLabel();
-        if (f.injectedHostFault)
-            kind += " [injected]";
-        table.addRow({f.workload, f.config, kind, f.error});
-    }
+    table.setHeader({"workload", "config", "error"});
+    for (const auto &f : fails)
+        table.addRow({f.workload, f.config, f.error});
     std::fputs(table.toString().c_str(), stdout);
-    if (summary.injected > 0) {
-        std::printf("(%zu injected host fault(s) contained — not "
-                    "counted as campaign failures)\n",
-                    summary.injected);
-    }
 
     // Each failure's diagnostic tail (last flight-recorder events),
     // so the report alone localizes the fault.
@@ -1249,7 +1231,7 @@ reportFailures(const harness::FailureSummary &summary)
         for (const std::string &line : split(f.diagnostic, '\n'))
             std::printf("    %s\n", line.c_str());
     }
-    return summary.unexpected();
+    return fails.size();
 }
 
 size_t

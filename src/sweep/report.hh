@@ -116,12 +116,10 @@ std::string formatDiff(const DiffResult &diff);
 
 /**
  * Render @p summary as the FAILED RUNS table (with per-failure
- * diagnostic tails) to stdout; no-op when empty. Rows marked
- * injectedHostFault are tagged "[injected]" and excluded from the
- * return value. This is the rendering half of
- * harness::collectFailures(): the harness stays a pure library and
- * every table lives on the reporting side.
- * @return summary.unexpected(), so bench mains can exit non-zero.
+ * diagnostic tails) to stdout; no-op when empty. This is the rendering
+ * half of harness::collectFailures(): the harness stays a pure library
+ * and every table lives on the reporting side.
+ * @return the number of failed runs, so bench mains can exit non-zero.
  */
 size_t reportFailures(const harness::FailureSummary &summary);
 

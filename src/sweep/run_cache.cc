@@ -11,9 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
+#include <iterator>
 #include <limits>
-#include <sstream>
 
 #include "base/jsonl.hh"
 #include "base/logging.hh"
@@ -80,6 +79,23 @@ getStr(const std::map<std::string, std::string> &fields,
     return true;
 }
 
+/** write(2) all of @p data to @p fd, retrying partial writes/EINTR. */
+bool
+writeFully(int fd, const char *data, size_t len)
+{
+    while (len > 0) {
+        ssize_t n = ::write(fd, data, len);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        data += n;
+        len -= static_cast<size_t>(n);
+    }
+    return true;
+}
+
 } // anonymous namespace
 
 uint64_t
@@ -124,17 +140,9 @@ runRecordLine(const harness::RunResult &r, uint64_t fp, uint64_t scale)
         // sim_cycles_per_sec vary run to run; determinism comparisons
         // must ignore them.
         .add("wall_ms", r.wallMs)
-        // queue_ms rides along as a schema-compatible extra field
-        // (readers ignore unknown keys; runRecordParse treats it as
-        // optional), so no version bump is needed.
-        .add("queue_ms", r.queueMs)
         .add("sim_cycles_per_sec", r.simCyclesPerSec())
         .add("cache_hit", r.cacheHit)
         .add("diagnostic", r.diagnostic);
-    // v4 failure taxonomy (--isolate classification).
-    obj.add("fail_kind", harness::toString(r.failKind))
-        .add("fail_detail", r.failDetail)
-        .add("fail_injected", r.injectedHostFault);
     // v3 commit-slot accounting. commit_width == 0 round-trips the
     // "predates the accounting" marker for records rebuilt from older
     // caches.
@@ -209,9 +217,6 @@ runRecordParse(const std::map<std::string, std::string> &fields,
             !getStr(fields, "diagnostic", r.diagnostic)) {
             return false;
         }
-        // Optional queue-wait split; records written before it
-        // existed simply leave it 0.
-        getF64(fields, "queue_ms", r.queueMs);
         auto hit = fields.find("cache_hit");
         if (hit == fields.end())
             return false;
@@ -223,27 +228,10 @@ runRecordParse(const std::map<std::string, std::string> &fields,
             return false;
     }
 
-    // Pre-v4 records predate process isolation: the only failure class
-    // that existed was the in-process SimError.
-    r.failKind = r.ok ? harness::FailKind::None
-                      : harness::FailKind::SimError;
-    if (version >= 4) {
-        std::string kind;
-        if (!getStr(fields, "fail_kind", kind) ||
-            !harness::failKindFromString(kind, r.failKind) ||
-            !getStr(fields, "fail_detail", r.failDetail)) {
-            return false;
-        }
-        auto injected = fields.find("fail_injected");
-        if (injected == fields.end())
-            return false;
-        if (injected->second == "true")
-            r.injectedHostFault = true;
-        else if (injected->second == "false")
-            r.injectedHostFault = false;
-        else
-            return false;
-    }
+    // v4/v5 records also carry the failure-taxonomy fields (fail_kind,
+    // fail_detail, fail_injected) and the queue-wait time that v6
+    // dropped; every failure they describe loads as a failed run with
+    // its error text, and the dropped fields are ignored, not validated.
 
     if (version >= 3) {
         uint64_t width = 0;
@@ -282,99 +270,6 @@ runRecordParse(const std::map<std::string, std::string> &fields,
     return true;
 }
 
-namespace
-{
-
-/**
- * One scanned line of a cache file. Torn tails (an unterminated,
- * unparseable final line — the signature of a writer killed
- * mid-append) are reported separately from corruption because they are
- * expected after a dirty shutdown and must not alarm anyone.
- */
-struct ScanVisitor
-{
-    /** Called per parsed record, raw line included (for compaction). */
-    std::function<void(uint64_t fp, uint64_t scale,
-                       const harness::RunResult &,
-                       const std::string &line)> onRecord;
-    size_t lines = 0;
-    size_t rejected = 0;
-    bool tornTail = false;
-    bool ioError = false;
-};
-
-void
-scanCacheFile(const std::string &path, ScanVisitor &v)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        v.ioError = true;
-        return;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-    if (in.bad()) {
-        v.ioError = true;
-        return;
-    }
-
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t nl = text.find('\n', pos);
-        bool terminated = nl != std::string::npos;
-        std::string line = text.substr(
-            pos, terminated ? nl - pos : std::string::npos);
-        pos = terminated ? nl + 1 : text.size();
-        if (trim(line).empty())
-            continue;
-        ++v.lines;
-
-        std::map<std::string, std::string> fields;
-        harness::RunResult r;
-        uint64_t fp = 0;
-        if (!parseFlatJson(line, fields) ||
-            !runRecordParse(fields, r) ||
-            fields.find("fp") == fields.end() ||
-            std::sscanf(fields.at("fp").c_str(), "%llx",
-                        reinterpret_cast<unsigned long long *>(&fp)) !=
-                1) {
-            if (!terminated) {
-                // Torn trailing line: skip silently, the next append
-                // repairs the file.
-                v.tornTail = true;
-                --v.lines;
-            } else {
-                ++v.rejected;
-            }
-            continue;
-        }
-        uint64_t scale = 0;
-        getU64(fields, "scale", scale);
-        if (v.onRecord)
-            v.onRecord(fp, scale, r, line);
-    }
-}
-
-/** write(2) all of @p data to @p fd, retrying partial writes/EINTR. */
-bool
-writeFully(int fd, const char *data, size_t len)
-{
-    while (len > 0) {
-        ssize_t n = ::write(fd, data, len);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<size_t>(n);
-    }
-    return true;
-}
-
-} // anonymous namespace
-
 RunCache::RunCache(const std::string &dir)
 {
     std::error_code ec;
@@ -386,14 +281,30 @@ RunCache::RunCache(const std::string &dir)
     }
     filePath = dir + "/runs.jsonl";
 
-    ScanVisitor v;
-    v.onRecord = [&](uint64_t fp, uint64_t, const harness::RunResult &r,
-                     const std::string &) { entries[fp] = r; };
-    scanCacheFile(filePath, v);
-    if (v.rejected > 0) {
+    // Later records win. An unterminated, unparseable final line is
+    // the signature of a writer killed mid-append: expected damage,
+    // not corruption, so it is skipped silently and the next append()
+    // cuts it off. getline() sets eof only on such an unterminated line.
+    std::ifstream in(filePath, std::ios::binary);
+    std::string line;
+    size_t rejected = 0;
+    while (std::getline(in, line)) {
+        if (trim(line).empty())
+            continue;
+        std::map<std::string, std::string> fields;
+        harness::RunResult r;
+        unsigned long long fp = 0;
+        if (parseFlatJson(line, fields) && runRecordParse(fields, r) &&
+            std::sscanf(fields["fp"].c_str(), "%llx", &fp) == 1) {
+            entries[fp] = r;
+        } else if (!in.eof()) {
+            ++rejected;
+        }
+    }
+    if (rejected > 0) {
         warn("run cache: ignored %zu unparseable record(s) in %s "
              "(stale schema or corruption); they will be recomputed",
-             v.rejected, filePath.c_str());
+             rejected, filePath.c_str());
     }
 
     // O_RDWR, not O_WRONLY: append() pread()s the last byte to detect
@@ -444,14 +355,21 @@ RunCache::append(uint64_t fp, uint64_t scale,
     while (::flock(fd, LOCK_EX) < 0 && errno == EINTR) {
     }
     // Repair a torn tail left by a writer that died mid-append: if the
-    // file does not end in a newline, lead with one so this record
-    // cannot be glued onto the truncated line. The newline travels in
-    // the same single write so the repair is as atomic as the append.
+    // file does not end in a newline, cut it back to its last one, so
+    // the fragment neither glues onto this record nor lingers as an
+    // unparseable line every later load warns about. Every appender
+    // holds the flock, so none can write between the cut and the
+    // append. Should the cut fail, lead with a newline instead.
     struct stat st;
     char last = '\n';
     if (::fstat(fd, &st) == 0 && st.st_size > 0 &&
         ::pread(fd, &last, 1, st.st_size - 1) == 1 && last != '\n') {
-        line.insert(line.begin(), '\n');
+        std::ifstream in(filePath, std::ios::binary);
+        std::string text{std::istreambuf_iterator<char>(in), {}};
+        size_t nl = text.rfind('\n');
+        off_t keep = nl == std::string::npos ? 0 : off_t(nl + 1);
+        if (!in || ::ftruncate(fd, keep) < 0)
+            line.insert(line.begin(), '\n');
     }
     // One write(2): O_APPEND makes the offset update atomic, so
     // concurrent appenders cannot interleave bytes within a record.
@@ -465,151 +383,6 @@ RunCache::append(uint64_t fp, uint64_t scale,
     }
     while (::flock(fd, LOCK_UN) < 0 && errno == EINTR) {
     }
-}
-
-std::string
-CacheFsckReport::summary() const
-{
-    if (ioError)
-        return "cache-fsck: cannot read cache file";
-    std::string s = strfmt(
-        "cache-fsck: %zu record line(s): %zu valid (%zu distinct, "
-        "%zu superseded), %zu unparseable", lines, valid, distinct(),
-        duplicates, unparseable);
-    if (tornTail)
-        s += ", torn trailing line (will be repaired on next append)";
-    return s;
-}
-
-CacheFsckReport
-fsckRunCache(const std::string &dir)
-{
-    CacheFsckReport rep;
-    std::string path = dir + "/runs.jsonl";
-    if (!std::filesystem::exists(path))
-        return rep; // a cold cache is trivially clean
-
-    std::map<uint64_t, size_t> seen;
-    ScanVisitor v;
-    v.onRecord = [&](uint64_t fp, uint64_t, const harness::RunResult &,
-                     const std::string &) {
-        ++rep.valid;
-        if (++seen[fp] > 1)
-            ++rep.duplicates;
-    };
-    scanCacheFile(path, v);
-    rep.lines = v.lines;
-    rep.unparseable = v.rejected;
-    rep.tornTail = v.tornTail;
-    rep.ioError = v.ioError;
-    return rep;
-}
-
-bool
-compactRunCache(const std::string &dir, std::string *err,
-                CacheFsckReport *report)
-{
-    std::string path = dir + "/runs.jsonl";
-    if (!std::filesystem::exists(path)) {
-        if (report)
-            *report = CacheFsckReport{};
-        return true; // nothing to compact
-    }
-
-    // Hold the same advisory lock appenders take, so the snapshot we
-    // rewrite cannot have a record added mid-copy — and rewrite the
-    // SAME inode (truncate + rewrite) rather than renaming a temp file
-    // over it: a live writer's O_APPEND descriptor then keeps landing
-    // records in the surviving file. The flock is held across the
-    // whole truncate-to-fdatasync window, so no appender can observe
-    // (or write into) a half-rewritten file.
-    int rw_fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-    if (rw_fd < 0) {
-        if (err)
-            *err = strfmt("cannot open %s: %s", path.c_str(),
-                          std::strerror(errno));
-        return false;
-    }
-    while (::flock(rw_fd, LOCK_EX) < 0 && errno == EINTR) {
-    }
-
-    // Newest record per fingerprint, kept in first-appearance order so
-    // compaction is deterministic.
-    std::vector<uint64_t> order;
-    std::map<uint64_t, std::string> newest;
-    ScanVisitor v;
-    v.onRecord = [&](uint64_t fp, uint64_t, const harness::RunResult &,
-                     const std::string &line) {
-        if (!newest.count(fp))
-            order.push_back(fp);
-        newest[fp] = line;
-    };
-    scanCacheFile(path, v);
-    if (report) {
-        *report = fsckRunCache(dir);
-    }
-    if (v.ioError) {
-        ::close(rw_fd);
-        if (err)
-            *err = strfmt("cannot read %s", path.c_str());
-        return false;
-    }
-
-    // Keep a sidecar backup of the compacted bytes before truncating,
-    // so a crash mid-rewrite cannot lose the corpus: the backup is
-    // complete (and fsync'd) before the original shrinks.
-    std::string compacted;
-    for (uint64_t fp : order) {
-        compacted += newest[fp];
-        compacted += '\n';
-    }
-    std::string bak = path + ".compact.bak";
-    {
-        std::ofstream out(bak, std::ios::trunc | std::ios::binary);
-        if (!out ||
-            !out.write(compacted.data(),
-                       static_cast<std::streamsize>(compacted.size()))
-                 .flush()) {
-            ::close(rw_fd);
-            if (err)
-                *err = strfmt("cannot write %s", bak.c_str());
-            return false;
-        }
-    }
-
-    bool okWrite = ::ftruncate(rw_fd, 0) == 0;
-    size_t off = 0;
-    while (okWrite && off < compacted.size()) {
-        ssize_t n = ::pwrite(rw_fd, compacted.data() + off,
-                             compacted.size() - off,
-                             static_cast<off_t>(off));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            okWrite = false;
-            break;
-        }
-        off += static_cast<size_t>(n);
-    }
-    if (okWrite && ::fdatasync(rw_fd) < 0 && errno != EINVAL &&
-        errno != ENOSYS) {
-        okWrite = false;
-    }
-    while (::flock(rw_fd, LOCK_UN) < 0 && errno == EINTR) {
-    }
-    ::close(rw_fd);
-    if (!okWrite) {
-        if (err) {
-            *err = strfmt("in-place rewrite of %s failed (%s); "
-                          "compacted copy preserved at %s",
-                          path.c_str(), std::strerror(errno),
-                          bak.c_str());
-        }
-        return false;
-    }
-    std::error_code ec;
-    std::filesystem::remove(bak, ec);
-    return true;
 }
 
 } // namespace sweep

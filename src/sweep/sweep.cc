@@ -11,7 +11,6 @@
 
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "sweep/isolate.hh"
 #include "sweep/run_cache.hh"
 
 namespace cwsim
@@ -126,52 +125,34 @@ SweepEngine::run(const SweepPlan &plan)
         pending.push_back(i);
     }
 
-    // Phase 2: simulate the rest. With isolation on, each run forks a
-    // sandboxed child (workers become process slots) and failures come
-    // back classified instead of crashing the bench; the executor does
-    // not touch the runner's failure list itself, so record them here —
-    // a contained crash then reports exactly like a cached or in-
-    // process failure. Otherwise, run on the thread pool: Runner::run
-    // is thread-safe and fail-soft, so a worker never throws; each job
+    // Phase 2: simulate the rest on the thread pool. Runner::run is
+    // thread-safe and fail-soft, so a worker never throws; each job
     // writes only its own result slot. A progress heartbeat (every
     // CWSIM_PROGRESS seconds, default 10; 0 disables) keeps long
     // sweeps from looking hung; the CAS on lastBeatMs elects exactly
     // one reporting worker per interval.
-    if (opts.isolate) {
-        IsolateOptions iso;
-        iso.slots = workerCount;
-        iso.timeoutSec = opts.timeoutSec;
-        iso.memLimitMb = opts.memLimitMb;
-        iso.retries = opts.retries;
-        runIsolated(runner, jobs, pending, fps, iso, results);
-        for (size_t i : pending) {
-            if (!results[i].ok)
-                runner.recordFailure(results[i]);
+    const uint64_t beat_s = envUint64("CWSIM_PROGRESS", 0, 10);
+    auto sweep_start = std::chrono::steady_clock::now();
+    std::atomic<size_t> done{0};
+    std::atomic<uint64_t> lastBeatMs{0};
+    parallelFor(pending.size(), workerCount, [&](size_t p) {
+        size_t i = pending[p];
+        results[i] = runner.run(jobs[i].workload, jobs[i].config);
+        size_t finished = done.fetch_add(1) + 1;
+        if (beat_s == 0 || finished == pending.size())
+            return;
+        uint64_t now_ms = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - sweep_start)
+                .count());
+        uint64_t last = lastBeatMs.load();
+        if (now_ms - last >= beat_s * 1000 &&
+            lastBeatMs.compare_exchange_strong(last, now_ms)) {
+            inform("sweep: %zu/%zu runs done (%.1fs elapsed)",
+                   finished, pending.size(),
+                   static_cast<double>(now_ms) / 1000.0);
         }
-    } else {
-        const uint64_t beat_s = envUint64("CWSIM_PROGRESS", 0, 10);
-        auto sweep_start = std::chrono::steady_clock::now();
-        std::atomic<size_t> done{0};
-        std::atomic<uint64_t> lastBeatMs{0};
-        parallelFor(pending.size(), workerCount, [&](size_t p) {
-            size_t i = pending[p];
-            results[i] = runner.run(jobs[i].workload, jobs[i].config);
-            size_t finished = done.fetch_add(1) + 1;
-            if (beat_s == 0 || finished == pending.size())
-                return;
-            uint64_t now_ms = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - sweep_start)
-                    .count());
-            uint64_t last = lastBeatMs.load();
-            if (now_ms - last >= beat_s * 1000 &&
-                lastBeatMs.compare_exchange_strong(last, now_ms)) {
-                inform("sweep: %zu/%zu runs done (%.1fs elapsed)",
-                       finished, pending.size(),
-                       static_cast<double>(now_ms) / 1000.0);
-            }
-        });
-    }
+    });
     executed += pending.size();
     for (size_t i : pending) {
         wallMsSum += results[i].wallMs;

@@ -83,18 +83,6 @@ struct SweepOptions
     std::string cacheDir = ".cwsim-cache";
     /** Append every RunResult as JSONL here ("" = no export). */
     std::string jsonPath;
-
-    // Process isolation (see isolate.hh). With isolate set, workers
-    // become forked child processes: a crashing, hanging, or OOMing
-    // run is contained, classified (FailKind), and retried instead of
-    // taking the whole bench down.
-    bool isolate = false;
-    /** Wall-clock deadline per isolated attempt, seconds (0 = none). */
-    double timeoutSec = 0;
-    /** RLIMIT_AS cap per isolated child, MiB (0 = none). */
-    uint64_t memLimitMb = 0;
-    /** Retry budget for host-level failures of an isolated run. */
-    unsigned retries = 1;
 };
 
 /**

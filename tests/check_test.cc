@@ -167,41 +167,6 @@ TEST(FaultInjector, DeterministicForAGivenSeed)
     }
 }
 
-TEST(FaultInjector, HostFaultsArmAndDrawDeterministically)
-{
-    // Host rates alone arm the injector...
-    FaultConfig cfg;
-    cfg.hostCrashRate = 1.0;
-    EXPECT_FALSE(cfg.any());
-    EXPECT_TRUE(cfg.hostAny());
-    check::FaultInjector crash(cfg);
-    ASSERT_TRUE(crash.enabled());
-    EXPECT_EQ(crash.drawHostFault(), check::HostFault::Crash);
-
-    cfg = FaultConfig{};
-    cfg.hostHangRate = 1.0;
-    EXPECT_EQ(check::FaultInjector(cfg).drawHostFault(),
-              check::HostFault::Hang);
-    cfg = FaultConfig{};
-    cfg.hostAllocRate = 1.0;
-    EXPECT_EQ(check::FaultInjector(cfg).drawHostFault(),
-              check::HostFault::Alloc);
-
-    // ...and zero rates draw nothing AND consume no PRNG state, so
-    // arming only a host fault cannot perturb the perf-fault storm.
-    cfg = FaultConfig{};
-    cfg.seed = 1234;
-    cfg.spuriousViolationRate = 0.25;
-    FaultConfig withHost = cfg;
-    withHost.hostCrashRate = 0; // explicit: still zero
-    check::FaultInjector plain(cfg), host(withHost);
-    for (int i = 0; i < 1000; ++i) {
-        EXPECT_EQ(host.drawHostFault(), check::HostFault::None);
-        EXPECT_EQ(plain.injectSpuriousViolation(),
-                  host.injectSpuriousViolation());
-    }
-}
-
 // ---------------------------------------------------------------- //
 // MDPT fault hooks                                                 //
 // ---------------------------------------------------------------- //

@@ -109,18 +109,7 @@ TEST(Report, RendersFig5Fig6AndFailedRuns)
     ReportRecord failed = makeRun("099.go", "AS/NAV", 0, 0);
     failed.run.ok = false;
     failed.run.error = "SimError: watchdog";
-    failed.run.failKind = harness::FailKind::SimError;
     records.push_back(failed);
-
-    // A contained host-level failure carries its kind and the
-    // [injected] containment tag into the table.
-    ReportRecord crashed = makeRun("099.go", "AS/SEL", 0, 0);
-    crashed.run.ok = false;
-    crashed.run.error = "isolated run died: crash(SIGSEGV)";
-    crashed.run.failKind = harness::FailKind::Crash;
-    crashed.run.failDetail = "SIGSEGV";
-    crashed.run.injectedHostFault = true;
-    records.push_back(crashed);
 
     std::string md =
         sweep::renderReport(records, ReportFormat::Markdown);
@@ -133,9 +122,6 @@ TEST(Report, RendersFig5Fig6AndFailedRuns)
 
     EXPECT_NE(md.find("## Failed runs"), std::string::npos);
     EXPECT_NE(md.find("SimError: watchdog"), std::string::npos);
-    EXPECT_NE(md.find("sim_error"), std::string::npos) << md;
-    EXPECT_NE(md.find("crash(SIGSEGV) [injected]"), std::string::npos)
-        << md;
     EXPECT_NE(md.find("FAILED"), std::string::npos);
 }
 
@@ -223,30 +209,31 @@ TEST(ReportDiff, SkipsCpiComparisonWhenOneSidePredatesV3)
               std::string::npos);
 }
 
-TEST(ReportDiff, ComparesFailKindButNotHostDependentDetail)
+TEST(ReportDiff, ComparesOkAndErrorOfFailedRuns)
 {
     std::vector<ReportRecord> a = {
         makeRun("130.li", "NAS/NAV", 1000, 2000)};
     a[0].run.ok = false;
-    a[0].run.failKind = harness::FailKind::Timeout;
-    a[0].run.failDetail = "wall-clock 2.0s";
-    a[0].run.error = "isolated run died: timeout(wall-clock 2.0s) "
-                     "after 1 attempt(s)";
+    a[0].run.error = "SimError: watchdog: no commit in 2000 cycles";
     std::vector<ReportRecord> b = a;
-
-    // Same kind, different detail text (a different host's limits):
-    // not drift.
-    b[0].run.failDetail = "rlimit-cpu";
     EXPECT_TRUE(sweep::diffRunRecords(a, b).clean());
 
-    // A changed failure class is drift.
-    b[0].run.failKind = harness::FailKind::Oom;
+    // A different failure is drift...
+    b[0].run.error = "SimError: invariant: window overflow";
     DiffResult d = sweep::diffRunRecords(a, b);
-    EXPECT_FALSE(d.clean());
     ASSERT_EQ(d.drift.size(), 1u);
-    EXPECT_EQ(d.drift[0].field, "fail_kind");
-    EXPECT_EQ(d.drift[0].baseline, "timeout");
-    EXPECT_EQ(d.drift[0].current, "oom");
+    EXPECT_EQ(d.drift[0].field, "error");
+    EXPECT_EQ(d.drift[0].current, b[0].run.error);
+
+    // ...and so is a run that now completes.
+    b[0].run.ok = true;
+    b[0].run.error.clear();
+    d = sweep::diffRunRecords(a, b);
+    ASSERT_EQ(d.drift.size(), 2u);
+    EXPECT_EQ(d.drift[0].field, "ok");
+    EXPECT_EQ(d.drift[0].baseline, "false");
+    EXPECT_EQ(d.drift[0].current, "true");
+    EXPECT_EQ(d.drift[1].field, "error");
 }
 
 TEST(ReportDiff, NanFalseDepLatencyDoesNotSelfDrift)
@@ -428,6 +415,28 @@ TEST(Report, RendersDepProfileFiles)
         sweep::renderDepProfile(empty, ReportFormat::Markdown);
     EXPECT_NE(none.find("No validated run blocks."), std::string::npos)
         << none;
+}
+
+TEST(ReportFailureTally, SimErrorFailuresAreCampaignFailures)
+{
+    harness::Runner runner(3000);
+    EXPECT_EQ(sweep::reportFailures(runner), 0u);
+
+    // A livelocked run trips the watchdog: a SimError failure, which
+    // makes the bench exit non-zero.
+    SimConfig cfg = withPolicy(makeW128Config(), LsqModel::NAS,
+                               SpecPolicy::Naive);
+    cfg.core.commitWidth = 0;
+    cfg.check.watchdogInterval = 2'000;
+    harness::RunResult r = runner.run("129.compress", cfg);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("watchdog"), std::string::npos) << r.error;
+    EXPECT_EQ(sweep::reportFailures(runner), 1u);
+
+    // A failure replayed from the cache counts the same way.
+    r.workload = "130.li";
+    runner.recordFailure(r);
+    EXPECT_EQ(sweep::reportFailures(runner), 2u);
 }
 
 } // anonymous namespace

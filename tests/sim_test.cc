@@ -574,6 +574,9 @@ TEST(ConfigParseDeathTest, UnknownKey)
     SimConfig cfg;
     EXPECT_EXIT(applyConfigOption(cfg, "nonsense.key=1"),
                 ::testing::ExitedWithCode(1), "unknown key");
+    // The retired host-fault modes are no longer config keys.
+    EXPECT_EXIT(applyConfigOption(cfg, "check.faults.hostCrashRate=1"),
+                ::testing::ExitedWithCode(1), "unknown key");
 }
 
 TEST(ConfigParseDeathTest, BadNumber)
